@@ -8,21 +8,13 @@ type t = {
   out0 : bool array array;
 }
 
-let of_instance inst =
-  let g = inst.Generators.graph in
-  let nodes = Digraph.nodes g in
-  let n = Node.Set.cardinal nodes in
-  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
-    invalid_arg "Fast_graph.of_instance: node ids must be 0..n-1";
-  let nbrs =
-    Array.init n (fun u ->
-        Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
-  in
-  (* Mirror slots in one pass over all adjacency entries.  The rows are
-     sorted, so sweeping [u] upward visits the occurrences of [u] inside
-     each [nbrs.(w)] in row order: a per-node cursor is exactly the
-     index of [u] in [nbrs.(w)].  O(sum of degrees), where the old
-     per-pair linear scan was O(sum of degrees squared). *)
+(* Mirror slots of sorted rows in one pass over all adjacency entries.
+   Sweeping [u] upward visits the occurrences of [u] inside each
+   [nbrs.(w)] in row order: a per-node cursor is exactly the index of
+   [u] in [nbrs.(w)].  O(sum of degrees), where a per-pair linear scan
+   would be O(sum of degrees squared). *)
+let mirrors nbrs =
+  let n = Array.length nbrs in
   let mirror = Array.init n (fun u -> Array.make (Array.length nbrs.(u)) 0) in
   let cursor = Array.make n 0 in
   for u = 0 to n - 1 do
@@ -33,6 +25,19 @@ let of_instance inst =
       cursor.(w) <- cursor.(w) + 1
     done
   done;
+  mirror
+
+let of_instance inst =
+  let g = inst.Generators.graph in
+  let nodes = Digraph.nodes g in
+  let n = Node.Set.cardinal nodes in
+  if not (Node.Set.equal nodes (Node.Set.of_range 0 (n - 1))) then
+    invalid_arg "Fast_graph.of_instance: node ids must be 0..n-1";
+  let nbrs =
+    Array.init n (fun u ->
+        Array.of_list (Node.Set.elements (Digraph.neighbors g u)))
+  in
+  let mirror = mirrors nbrs in
   let out0 =
     Array.init n (fun u ->
         Array.map
@@ -94,6 +99,18 @@ module Dyn = struct
       mir = Array.map Array.copy g.mirror;
       deg = Array.map Array.length g.nbrs;
     }
+
+  let sorted_copy ~isolate t =
+    let nbr =
+      Array.init t.n (fun u ->
+          if u = isolate then [||]
+          else
+            Array.sub t.nbr.(u) 0 t.deg.(u)
+            |> Array.to_list
+            |> List.filter (fun w -> w <> isolate)
+            |> List.sort Int.compare |> Array.of_list)
+    in
+    { n = t.n; nbr; mir = mirrors nbr; deg = Array.map Array.length nbr }
 
   let num_nodes t = t.n
   let degree t u = t.deg.(u)

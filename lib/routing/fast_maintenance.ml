@@ -725,27 +725,29 @@ let fail_node t u =
 
 (* {1 Construction} *)
 
-let create ?(index = Uf) rule config =
-  let core = G.of_config config in
-  let n = core.G.n in
+(* A fresh, stabilized engine over [adj], which it takes over.  Heights
+   are seeded from [rank] — each node's position in a linear extension
+   of the initial orientation, i.e. its {!Embedding.rank} — exactly as
+   [Maintenance.create] seeds them; in-degrees, the component index,
+   bags, worklist, next-hop cache and counters all start fresh. *)
+let init ~index rule ~dest adj rank =
+  let n = G.Dyn.num_nodes adj in
   let ha = Array.make n 0 and hb = Array.make n 0 in
-  Node.Set.iter
-    (fun u ->
-      let r = Embedding.rank config.Config.embedding u in
-      match rule with
-      | Maintenance.Partial_reversal ->
-          ha.(u) <- 0;
-          hb.(u) <- -r
-      | Maintenance.Full_reversal ->
-          ha.(u) <- n - r;
-          hb.(u) <- 0)
-    (Config.nodes config);
-  let adj = G.Dyn.of_graph core in
+  for u = 0 to n - 1 do
+    let r = rank.(u) in
+    match rule with
+    | Maintenance.Partial_reversal ->
+        ha.(u) <- 0;
+        hb.(u) <- -r
+    | Maintenance.Full_reversal ->
+        ha.(u) <- n - r;
+        hb.(u) <- 0
+  done;
   let t =
     {
       n;
       rule;
-      dest = config.Config.destination;
+      dest;
       index;
       adj;
       ha;
@@ -778,8 +780,8 @@ let create ?(index = Uf) rule config =
       stamp = 0;
     }
   in
-  (* The embedding is a topological order of G'_init, so the initial
-     orientation is exactly the height order — in-degrees follow. *)
+  (* The ranks are a topological order of the initial orientation, so
+     that orientation is exactly the height order — in-degrees follow. *)
   for u = 0 to n - 1 do
     let d = G.Dyn.degree t.adj u in
     let incoming = ref 0 in
@@ -805,6 +807,104 @@ let create ?(index = Uf) rule config =
   done;
   ignore (stabilize t);
   t
+
+let create ?(index = Uf) rule config =
+  let core = G.of_config config in
+  let rank = Array.make core.G.n 0 in
+  Node.Set.iter
+    (fun u -> rank.(u) <- Embedding.rank config.Config.embedding u)
+    (Config.nodes config);
+  init ~index rule ~dest:config.Config.destination (G.Dyn.of_graph core) rank
+
+(* {1 Rerooting after a destination crash} *)
+
+(* Flat port of [Digraph.topological_sort] over [adj] (rows ascending)
+   oriented by [t]'s heights, higher endpoint to lower.  Kahn's
+   algorithm with the reference's exact tie-breaking: its queue is a
+   LIFO stack seeded with the sources in ascending order — so the
+   largest pops first — and each popped node releases its
+   out-neighbours in ascending order.  Writes every placed node's
+   position into [rank] and answers how many were placed: [n] iff the
+   orientation is acyclic. *)
+let topo_ranks t adj rank =
+  let n = t.n in
+  let indeg = Array.make n 0 in
+  for u = 0 to n - 1 do
+    for i = 0 to G.Dyn.degree adj u - 1 do
+      if compare_heights t u (G.Dyn.nbr adj u i) < 0 then
+        indeg.(u) <- indeg.(u) + 1
+    done
+  done;
+  let stack = Array.make (max n 1) 0 and top = ref 0 in
+  let push u =
+    stack.(!top) <- u;
+    incr top
+  in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then push u
+  done;
+  let placed = ref 0 in
+  while !top > 0 do
+    decr top;
+    let u = stack.(!top) in
+    rank.(u) <- !placed;
+    incr placed;
+    for i = 0 to G.Dyn.degree adj u - 1 do
+      let w = G.Dyn.nbr adj u i in
+      if compare_heights t u w > 0 then begin
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then push w
+      end
+    done
+  done;
+  !placed
+
+(* The failover election over [adj] (the old destination already
+   isolated): among the components other than the old destination's
+   singleton whose maximum id is live, the largest, ties to the greater
+   maximum id; that maximum id leads.  [-1] when no component
+   qualifies. *)
+let elect adj ~old ~live =
+  let n = G.Dyn.num_nodes adj in
+  let seen = Array.make n false and q = Array.make (max n 1) 0 in
+  let best = ref (-1) and best_size = ref 0 in
+  for s = 0 to n - 1 do
+    if s <> old && not seen.(s) then begin
+      seen.(s) <- true;
+      q.(0) <- s;
+      let head = ref 0 and tail = ref 1 and top = ref s in
+      while !head < !tail do
+        let x = q.(!head) in
+        incr head;
+        if x > !top then top := x;
+        for i = 0 to G.Dyn.degree adj x - 1 do
+          let w = G.Dyn.nbr adj x i in
+          if not seen.(w) then begin
+            seen.(w) <- true;
+            q.(!tail) <- w;
+            incr tail
+          end
+        done
+      done;
+      if live !top && (!tail > !best_size || (!tail = !best_size && !top > !best))
+      then begin
+        best := !top;
+        best_size := !tail
+      end
+    end
+  done;
+  !best
+
+type reroot_error = No_live_leader | Cyclic
+
+let reroot t ~live =
+  let adj = G.Dyn.sorted_copy ~isolate:t.dest t.adj in
+  match elect adj ~old:t.dest ~live with
+  | -1 -> Error No_live_leader
+  | leader ->
+      let rank = Array.make t.n 0 in
+      if topo_ranks t adj rank < t.n then Error Cyclic
+      else Ok (init ~index:t.index t.rule ~dest:leader adj rank, leader)
 
 let set_observer t obs = t.obs <- obs
 

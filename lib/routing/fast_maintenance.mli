@@ -52,6 +52,34 @@ val create : ?index:index -> Maintenance.rule -> Config.t -> t
     ({!Lr_graph.Generators} outputs and service shard configs satisfy
     this); @raise Invalid_argument otherwise. *)
 
+type reroot_error =
+  | No_live_leader
+      (** No component other than the old destination's own has a live
+          maximum id. *)
+  | Cyclic
+      (** The derived orientation has a cycle — never on a consistent
+          engine, since heights are a strict total order. *)
+
+val reroot : t -> live:(Node.t -> bool) -> (t * Node.t, reroot_error) result
+(** [reroot t ~live] serves a crash of [t]'s destination in place of a
+    rebuild: it strips the old destination's links, elects the leader —
+    among the components other than the old destination's singleton
+    whose maximum id is [live], the largest, ties to the greater
+    maximum id; that maximum id leads — and answers a fresh, stabilized
+    engine toward it, together with the leader.
+
+    The result equals [create] with [t]'s rule and index on
+    [Config.make_exn stripped ~destination:leader], where [stripped] is
+    [graph t] without the old destination's links: same adjacency
+    layout, heights, counters and component index, so every later
+    response is byte-identical.  The heights come from a
+    flat-array port of {!Lr_graph.Digraph.topological_sort} that keeps
+    its exact Kahn tie-breaking, because the rank order fixes the
+    relative heights of non-adjacent nodes, which a later [add_link]
+    can make neighbours.  No [Digraph], [Config] or [Map] is built.
+    [t] itself is left unchanged.  O(n + m log degree) plus the
+    stabilization. *)
+
 val index : t -> index
 val destination : t -> Node.t
 val num_nodes : t -> int
@@ -102,8 +130,9 @@ val index_stats : t -> index_stats
 
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
-    derived from heights).  For tests and the rare failover path — not
-    the hot path. *)
+    derived from heights).  Builds a persistent [Digraph] — for tests,
+    trace recording and the packet plane's first snapshot, not for
+    per-op serving. *)
 
 val route : t -> Node.t -> Node.t list option
 (** Same paths as {!Maintenance.route}, served through the next-hop

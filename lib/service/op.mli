@@ -14,8 +14,9 @@ type t =
       (** The link [{u,v}] appeared.  A no-op if present or touching a
           crashed node. *)
   | Crash_destination of { shard : int }
-      (** The shard's destination crashed; elect a replacement
-          ({!Failover}) and re-orient toward it. *)
+      (** The shard's destination crashed; elect a replacement (the
+          maximum id of the largest live component) and re-orient
+          toward it. *)
   | Inject of { shard : int; src : int; count : int }
       (** Offer [count] packets at [src] to the shard's forwarding
           plane ({!Lr_packet.Plane}); a full source queue drops the
@@ -51,7 +52,7 @@ type response =
   | Linked of { node_steps : int }
       (** Link added (and any newly enabled reversals run). *)
   | New_destination of { leader : int; node_steps : int }
-      (** Failover outcome: the elected leader and the re-orientation
+      (** Crash outcome: the elected leader and the re-orientation
           work spent adopting it. *)
   | Injected of { accepted : int; dropped : int }
       (** Packets enqueued vs refused by the bounded source queue. *)

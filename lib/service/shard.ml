@@ -218,66 +218,69 @@ let link_up t u v =
       validation_failures = 0 }
   end
 
+(* Adopt the engine elected after a crash of [old]: the retired
+   session's work is banked, [old] stays in the skeleton isolated and
+   dead, and the plane goes down with it.  The reported work is the new
+   session's stabilization — the reversals performed on this shard's
+   state. *)
+let fail_over t ~old leader m =
+  t.work_base <- total_work t;
+  t.dead <- Node.Set.add old t.dead;
+  t.m <- m;
+  t.plane <- None;
+  t.epoch <- t.epoch + 1;
+  let node_steps = total_work t - t.work_base in
+  { response = Op.New_destination { leader; node_steps }; work = node_steps;
+    validation_failures = 0 }
+
+(* The reference tier's election, the same rule as
+   [Fast_maintenance.reroot]: among the components of the stripped
+   skeleton other than the old destination's singleton whose maximum id
+   is live, the largest, ties to the greater maximum id.  Both parts of
+   the key are compared explicitly (ints and [Node.compare]) so the
+   order can never silently drift with the representation of either. *)
+let ref_leader stripped ~old ~live =
+  let better ((c : int), l) (cb, lb) =
+    if c <> cb then c > cb else Node.compare l lb > 0
+  in
+  Undirected.connected_components (Digraph.skeleton stripped)
+  |> List.filter_map (fun comp ->
+         match Node.Set.max_elt_opt comp with
+         | Some l when live l && not (Node.Set.equal comp (Node.Set.singleton old)) ->
+             Some (Node.Set.cardinal comp, l)
+         | _ -> None)
+  |> List.fold_left
+       (fun best cand ->
+         match best with Some b when not (better cand b) -> best | _ -> Some cand)
+       None
+  |> Option.map snd
+
 let crash_destination t =
   let old = destination t in
-  let g = graph t in
   let live u = not (Node.Set.mem u t.dead) in
-  if
-    not
-      (Node.Set.exists
-         (fun u -> live u && not (Node.equal u old))
-         (Digraph.nodes g))
-  then { response = Op.Noop; work = 0; validation_failures = 0 }
-  else
-    match Linkrev.Config.make g ~destination:old with
-    | Error _ ->
-        (* The serving graph went inconsistent — count it, don't crash. *)
-        { response = Op.Noop; work = 0; validation_failures = 1 }
-    | Ok config ->
-        let outcomes = Failover.elect_after_destination_failure t.rule config in
-        let candidates =
-          List.filter (fun o -> live o.Failover.leader) outcomes
-        in
-        (* Primary: most members, then the greater leader id.  Both
-           components of the key are compared explicitly (ints and
-           [Node.compare]) so the order can never silently drift with
-           the representation of either. *)
-        let better o b =
-          let co = Node.Set.cardinal o.Failover.members
-          and cb = Node.Set.cardinal b.Failover.members in
-          if co <> cb then co > cb
-          else Node.compare o.Failover.leader b.Failover.leader > 0
-        in
-        let primary =
-          List.fold_left
-            (fun best o ->
-              match best with
-              | None -> Some o
-              | Some b -> if better o b then Some o else Some b)
-            None candidates
-        in
-        (match primary with
-        | None -> { response = Op.Noop; work = 0; validation_failures = 0 }
-        | Some o ->
-            let leader = o.Failover.leader in
-            let stripped =
-              Node.Set.fold
-                (fun v g -> Digraph.remove_edge g old v)
-                (Digraph.neighbors g old) g
-            in
-            t.work_base <- total_work t;
-            t.dead <- Node.Set.add old t.dead;
-            t.m <-
-              make_engine t.kind t.rule
-                (Linkrev.Config.make_exn stripped ~destination:leader);
-            t.plane <- None;
-            t.epoch <- t.epoch + 1;
-            (* The adoption work is the fresh session's stabilization —
-               the reversals actually performed on this shard's state
-               (Failover's own re-orientation ran on a throwaway copy). *)
-            let node_steps = total_work t - t.work_base in
-            { response = Op.New_destination { leader; node_steps };
-              work = node_steps; validation_failures = 0 })
+  match t.m with
+  | E_fast f -> (
+      match Fast_maintenance.reroot f ~live with
+      | Ok (f', leader) -> fail_over t ~old leader (E_fast f')
+      | Error Fast_maintenance.No_live_leader ->
+          { response = Op.Noop; work = 0; validation_failures = 0 }
+      | Error Fast_maintenance.Cyclic ->
+          (* The serving graph went inconsistent — count it, don't crash. *)
+          { response = Op.Noop; work = 0; validation_failures = 1 })
+  | E_ref m -> (
+      let g = Maintenance.graph m in
+      let stripped =
+        Node.Set.fold
+          (fun v g -> Digraph.remove_edge g old v)
+          (Digraph.neighbors g old) g
+      in
+      match ref_leader stripped ~old ~live with
+      | None -> { response = Op.Noop; work = 0; validation_failures = 0 }
+      | Some leader -> (
+          match Linkrev.Config.make stripped ~destination:leader with
+          | Error _ -> { response = Op.Noop; work = 0; validation_failures = 1 }
+          | Ok config ->
+              fail_over t ~old leader (E_ref (Maintenance.create t.rule config))))
 
 (* The shard's forwarding plane, snapshotting the current graph and
    destination on first use.  [Config.make] failing means the serving
@@ -380,8 +383,9 @@ let heal ~validate t f =
       { response = Op.Healed { node_steps }; work;
         validation_failures = (if bad then 1 else 0) }
   | Maintenance.Partitioned _ ->
-      (* adopt_heights never changes the topology. *)
-      assert false
+      (* adopt_heights never changes the topology, so a partition report
+         means the engine went inconsistent — count it, don't abort. *)
+      { response = Op.Healed { node_steps = work }; work; validation_failures = 1 }
 
 let corrupt ~validate t ~seed ~magnitude =
   if magnitude < 0 then { response = Op.Noop; work = 0; validation_failures = 0 }

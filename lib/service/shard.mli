@@ -6,11 +6,13 @@
     destination, and a [No_route] answer must be honest (the source
     really has no directed path) — so the serving layer continuously
     re-checks the paper's acyclicity guarantee on live traffic instead
-    of trusting the engine.  A destination crash is delegated to
-    {!Lr_routing.Failover} for the election; the shard then adopts the
-    elected leader by rebuilding its maintenance session on the
-    crash-stripped graph (the crashed node stays in the skeleton,
-    isolated and marked dead). *)
+    of trusting the engine.  A destination crash strips the crashed
+    node's links, elects the maximum id of the largest live component
+    (ties to the greater id) and re-orients toward it: the fast tier in
+    place on its flat arrays ({!Lr_routing.Fast_maintenance.reroot}),
+    the reference tier by a fresh maintenance session on the stripped
+    graph.  Both give byte-identical engines; the crashed node stays in
+    the skeleton, isolated and marked dead. *)
 
 open Lr_graph
 open Lr_routing

@@ -2,7 +2,9 @@
    persistent reference: identical work, heights order, orientation,
    routes and partition reports under seeded churn — plus the next-hop
    cache contract (hits when quiescent, invalidation on churn, never a
-   stale path; staleness is also recomputed inside [FM.consistent]). *)
+   stale path; staleness is also recomputed inside [FM.consistent]) —
+   and [FM.reroot] against a cold [FM.create] on the crash-stripped
+   graph. *)
 
 open Lr_graph
 open Linkrev
@@ -353,6 +355,126 @@ let test_cache_invalidated_by_churn () =
   done;
   check_bool "cache sound after refill" true (FM.consistent sys.f)
 
+(* {1 Rerooting after a destination crash} *)
+
+module Q = QCheck
+
+let strip g old =
+  Node.Set.fold (fun v g -> Digraph.remove_edge g old v) (Digraph.neighbors g old) g
+
+(* The election rule restated over the persistent skeleton. *)
+let expected_leader f ~live =
+  let old = FM.destination f in
+  Undirected.connected_components (Digraph.skeleton (strip (FM.graph f) old))
+  |> List.filter_map (fun c ->
+         let l = Node.Set.max_elt c in
+         if live l && not (Node.Set.equal c (Node.Set.singleton old)) then
+           Some (Node.Set.cardinal c, l)
+         else None)
+  |> List.fold_left (fun best c -> if compare c best > 0 then c else best) (0, -1)
+  |> snd
+
+(* Everything observable about an engine, for whole-state equality. *)
+let observe f =
+  ( FM.destination f,
+    List.init (FM.num_nodes f) (FM.height f),
+    FM.total_work f,
+    FM.cache_stats f,
+    FM.index_stats f,
+    FM.component_size f,
+    Digraph.fingerprint (FM.graph f) )
+
+let same_engine what a b =
+  if not (FM.consistent a && FM.consistent b) then
+    Q.Test.fail_reportf "%s: inconsistent engine" what;
+  if observe a <> observe b then Q.Test.fail_reportf "%s: states differ" what
+
+(* A fail/restore/route tape applied to two engines in lockstep: link
+   toggles between live nodes, an occasional node failure, and a route
+   query after every op; every answer must match. *)
+let tape what rand ~live a b =
+  let n = FM.num_nodes a in
+  for k = 1 to 3 * n do
+    let u = Random.State.int rand n and v = Random.State.int rand n in
+    let what = Printf.sprintf "%s, op %d" what k in
+    (if k mod 11 = 0 && u <> FM.destination a then
+       check_result what (FM.fail_node a u) (FM.fail_node b u)
+     else if u <> v && FM.mem_edge a u v then
+       check_result what (FM.fail_link a u v) (FM.fail_link b u v)
+     else if u <> v && live u && live v then begin
+       FM.add_link a u v;
+       FM.add_link b u v
+     end);
+    if FM.route a v <> FM.route b v then
+      Q.Test.fail_reportf "%s: route from %d differs" what v
+  done;
+  same_engine (what ^ ", after the tape") a b
+
+(* [reroot] against a cold [create] on the stripped graph, over repeated
+   crashes: between crashes a tape churns both engines in lockstep, and
+   a random extra node is marked dead now and then, so elections meet
+   dead maxima and isolated nodes. *)
+let reroot_matches_create (n, extra, seed) =
+  let config =
+    Config.of_instance
+      (Generators.random_connected_dag
+         (Random.State.make [| 0xab; seed |])
+         ~n ~extra_edges:extra)
+  in
+  List.iter
+    (fun (rule, index) ->
+      let rand = rng (seed + 5) in
+      let f = ref (FM.create ~index rule config) in
+      let dead = ref Node.Set.empty in
+      let crashes = ref 0 in
+      while !crashes < 4 do
+        incr crashes;
+        let what = Printf.sprintf "crash %d" !crashes in
+        if Random.State.int rand 3 = 0 then
+          dead := Node.Set.add (Random.State.int rand n) !dead;
+        let live u = not (Node.Set.mem u !dead) in
+        let before = observe !f and old = FM.destination !f in
+        let expected = expected_leader !f ~live in
+        (match FM.reroot !f ~live with
+        | Error FM.Cyclic -> Q.Test.fail_reportf "%s: cyclic" what
+        | Error FM.No_live_leader ->
+            if expected >= 0 then
+              Q.Test.fail_reportf "%s: no leader, expected %d" what expected;
+            crashes := max_int
+        | Ok (r, leader) ->
+            if leader <> expected then
+              Q.Test.fail_reportf "%s: leader %d, expected %d" what leader expected;
+            if observe !f <> before then
+              Q.Test.fail_reportf "%s: reroot changed its argument" what;
+            let fresh =
+              FM.create ~index rule
+                (Config.make_exn (strip (FM.graph !f) old) ~destination:leader)
+            in
+            same_engine what r fresh;
+            dead := Node.Set.add old !dead;
+            let live u = not (Node.Set.mem u !dead) in
+            tape what rand ~live r fresh;
+            f := r)
+      done)
+    [
+      (M.Partial_reversal, FM.Uf);
+      (M.Full_reversal, FM.Uf);
+      (M.Partial_reversal, FM.Scan);
+      (M.Full_reversal, FM.Scan);
+    ];
+  true
+
+let reroot_prop =
+  Q.Test.make ~count:100 ~name:"reroot = create on the stripped graph"
+    (Q.make
+       ~print:(fun (n, e, s) -> Printf.sprintf "n=%d extra=%d seed=%d" n e s)
+       Q.Gen.(
+         let* n = int_range 2 20 in
+         let* extra = int_range 0 n in
+         let* seed = int_range 0 1_000_000 in
+         return (n, extra, seed)))
+    reroot_matches_create
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -383,4 +505,5 @@ let () =
           case "invalidated by churn, never stale"
             test_cache_invalidated_by_churn;
         ];
+      suite "reroot" [ QCheck_alcotest.to_alcotest reroot_prop ];
     ]

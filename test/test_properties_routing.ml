@@ -172,6 +172,55 @@ let substrate_props =
              Lr_routing.Maintenance.Partial_reversal (config_of p)));
   ]
 
+(* The service's crash election pinned against the reference: the
+   elected leader is the maximum id of the largest live component
+   [Failover] reports (ties to the greater id), on both engine tiers,
+   across repeated crashes with link churn in between. *)
+let failover_leader shard =
+  let module F = Lr_routing.Failover in
+  let config =
+    Config.make_exn (Lr_service.Shard.graph shard)
+      ~destination:(Lr_service.Shard.destination shard)
+  in
+  F.elect_after_destination_failure Lr_routing.Maintenance.Partial_reversal config
+  |> List.filter (fun o -> not (Node.Set.mem o.F.leader (Lr_service.Shard.dead shard)))
+  |> List.map (fun o -> (Node.Set.cardinal o.F.members, o.F.leader))
+  |> List.fold_left (fun best c -> if compare c best > 0 then c else best) (0, -1)
+  |> snd
+
+let service_props =
+  [
+    prop "service: crash elects the max id of the largest live component"
+      (fun p ->
+        let module Sh = Lr_service.Shard in
+        let module Op = Lr_service.Op in
+        let n, _, seed = p in
+        List.for_all
+          (fun engine ->
+            let shard =
+              Sh.create ~engine ~rule:Lr_routing.Maintenance.Partial_reversal
+                ~id:0 (config_of p)
+            in
+            let r = Random.State.make [| 0x1e; seed |] in
+            List.for_all
+              (fun _ ->
+                for _ = 1 to n do
+                  let u = Random.State.int r n and v = Random.State.int r n in
+                  let op =
+                    if Random.State.bool r then Op.Link_down { shard = 0; u; v }
+                    else Op.Link_up { shard = 0; u; v }
+                  in
+                  ignore (Sh.apply shard op : Sh.outcome)
+                done;
+                let expected = failover_leader shard in
+                match (Sh.apply shard (Op.Crash_destination { shard = 0 })).Sh.response with
+                | Op.New_destination { leader; _ } -> leader = expected
+                | Op.Noop -> expected < 0
+                | _ -> false)
+              [ 1; 2; 3; 4 ])
+          [ Sh.Fast; Sh.Reference ]);
+  ]
+
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "properties_routing"
@@ -181,4 +230,5 @@ let () =
       ("mutex", to_alcotest mutex_props);
       ("protocol", to_alcotest protocol_props);
       ("substrate", to_alcotest substrate_props);
+      ("service", to_alcotest service_props);
     ]
