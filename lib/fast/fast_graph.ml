@@ -100,15 +100,26 @@ module Dyn = struct
       deg = Array.map Array.length g.nbrs;
     }
 
-  let sorted_copy ~isolate t =
+  let sorted_copy ?(isolate = -1) t =
     let nbr =
       Array.init t.n (fun u ->
           if u = isolate then [||]
-          else
-            Array.sub t.nbr.(u) 0 t.deg.(u)
-            |> Array.to_list
-            |> List.filter (fun w -> w <> isolate)
-            |> List.sort Int.compare |> Array.of_list)
+          else begin
+            let row = t.nbr.(u) and d = t.deg.(u) in
+            let keep = ref 0 in
+            for i = 0 to d - 1 do
+              if row.(i) <> isolate then incr keep
+            done;
+            let r = Array.make !keep 0 and j = ref 0 in
+            for i = 0 to d - 1 do
+              if row.(i) <> isolate then begin
+                r.(!j) <- row.(i);
+                incr j
+              end
+            done;
+            Array.sort Int.compare r;
+            r
+          end)
     in
     { n = t.n; nbr; mir = mirrors nbr; deg = Array.map Array.length nbr }
 

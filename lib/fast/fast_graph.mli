@@ -55,12 +55,12 @@ module Dyn : sig
   val of_graph : graph -> t
   (** A fresh mutable copy of the adjacency (the source is unchanged). *)
 
-  val sorted_copy : isolate:int -> t -> t
+  val sorted_copy : ?isolate:int -> t -> t
   (** [sorted_copy ~isolate:x t] is a fresh copy of [t] without any
-      link of [x], in the layout {!of_graph} builds — every row
-      ascending, mirror slots recomputed — whatever order churn left
-      the rows in.  O(sum of degrees · log degree); [t] is
-      unchanged. *)
+      link of [x] (without [?isolate], of every link), in the layout
+      {!of_graph} builds — every row ascending, mirror slots
+      recomputed — whatever order churn left the rows in.
+      O(sum of degrees · log degree); [t] is unchanged. *)
 
   val num_nodes : t -> int
   val degree : t -> int -> int

@@ -1,8 +1,8 @@
 (** A bounded FIFO of non-negative ints (packet ids), backed by one
-    flat circular buffer — no allocation after [create].  The bound is
-    the backpressure signal of the forwarding layer: a full queue
-    refuses arrivals, and refusals are what drive both drop accounting
-    and the queue-differential reversal trigger. *)
+    flat circular buffer — no allocation after [create].  {!Geo}'s
+    per-node queues; {!Plane} lays all of its queues out in one shared
+    ring array instead.  A full queue refuses arrivals, and refusals
+    drive drop accounting. *)
 
 type t
 

@@ -1028,6 +1028,8 @@ let is_destination_oriented t =
   done;
   !ok
 
+let sorted_adjacency t = G.Dyn.sorted_copy t.adj
+
 let graph t =
   let g = ref (Digraph.of_directed_edges []) in
   for u = 0 to t.n - 1 do

@@ -128,11 +128,15 @@ val index_stats : t -> index_stats
     many such [rebuilds] have happened.  Under [Scan]: [slots = n],
     [rebuilds = 0]. *)
 
+val sorted_adjacency : t -> Lr_fast.Fast_graph.Dyn.t
+(** A fresh copy of the current adjacency with every row ascending —
+    the flat snapshot the packet plane is seeded from, oriented by
+    {!edge_out}.  O(sum of degrees · log degree); [t] is unchanged. *)
+
 val graph : t -> Digraph.t
 (** Materialized snapshot of the current oriented topology (orientation
-    derived from heights).  Builds a persistent [Digraph] — for tests,
-    trace recording and the packet plane's first snapshot, not for
-    per-op serving. *)
+    derived from heights).  Builds a persistent [Digraph] — for tests
+    and trace recording, not for per-op serving. *)
 
 val route : t -> Node.t -> Node.t list option
 (** Same paths as {!Maintenance.route}, served through the next-hop

@@ -12,12 +12,12 @@ type t = {
   packet_queue : int;
   mutable m : engine;
   (* The packet-forwarding plane, created lazily at the first packet op
-     from a snapshot of the then-current graph and kept in sync with
-     the engine through every subsequent link event.  Seeded from a
-     deterministic topological order of that snapshot — never from
-     engine internals — so responses stay byte-identical across
-     maintenance tiers.  A failover discards it (in-flight packets go
-     down with the crashed destination). *)
+     from a flat snapshot of the then-current adjacency and kept in sync
+     with the engine through every subsequent link event.  Seeded from a
+     deterministic topological order of the engine's current
+     orientation, never its heights, so responses stay byte-identical
+     across maintenance tiers.  A failover discards it (in-flight
+     packets go down with the crashed destination). *)
   mutable plane : Lr_packet.Plane.t option;
   mutable dead : Node.Set.t;
   mutable epoch : int;
@@ -282,18 +282,28 @@ let crash_destination t =
           | Ok config ->
               fail_over t ~old leader (E_ref (Maintenance.create t.rule config))))
 
-(* The shard's forwarding plane, snapshotting the current graph and
-   destination on first use.  [Config.make] failing means the serving
-   graph went inconsistent — surfaced as a validation failure, like the
-   crash path. *)
+(* The shard's forwarding plane, seeded on first use from a sorted flat
+   copy of the current adjacency, oriented like the engine.  A cyclic
+   orientation means the serving graph went inconsistent — surfaced as
+   a validation failure, like the crash path. *)
 let ensure_plane t =
   match t.plane with
-  | Some p -> Some p
+  | Some _ as p -> p
   | None -> (
-      match Linkrev.Config.make (graph t) ~destination:(destination t) with
-      | Error _ -> None
-      | Ok config ->
-          let p = Lr_packet.Plane.create ~qcap:t.packet_queue config in
+      let destination = destination t in
+      let adj =
+        match t.m with
+        | E_fast f -> Fast_maintenance.sorted_adjacency f
+        | E_ref m ->
+            Lr_fast.Fast_graph.(
+              Dyn.of_graph
+                (of_instance { Generators.graph = Maintenance.graph m; destination }))
+      in
+      match
+        Lr_packet.Plane.seed ~qcap:t.packet_queue ~destination ~edge_out:(edge_out t) adj
+      with
+      | Error Lr_packet.Plane.Cyclic -> None
+      | Ok p ->
           t.plane <- Some p;
           Some p)
 
@@ -314,19 +324,21 @@ let forward t slots =
     match ensure_plane t with
     | None -> { response = Op.Noop; work = 0; validation_failures = 1 }
     | Some p ->
-        let before = Lr_packet.Plane.counters p in
+        let delivered = ref 0 and reversals = ref 0 in
+        let hops0 = Lr_packet.Plane.hops_sum p in
         for _ = 1 to slots do
-          ignore (Lr_packet.Plane.slot p : Lr_packet.Plane.slot_outcome)
+          let o = Lr_packet.Plane.slot p in
+          delivered := !delivered + o.Lr_packet.Plane.delivered;
+          reversals := !reversals + o.Lr_packet.Plane.reversals
         done;
-        let after = Lr_packet.Plane.counters p in
         {
           response =
             Op.Forwarded
               {
-                delivered = after.Lr_packet.Plane.delivered - before.Lr_packet.Plane.delivered;
-                reversals = after.Lr_packet.Plane.reversals - before.Lr_packet.Plane.reversals;
+                delivered = !delivered;
+                reversals = !reversals;
                 queued = Lr_packet.Plane.queued p;
-                hops = after.Lr_packet.Plane.hops_sum - before.Lr_packet.Plane.hops_sum;
+                hops = Lr_packet.Plane.hops_sum p - hops0;
               };
           work = 0;
           validation_failures = 0;

@@ -40,12 +40,14 @@ val create :
     each node's queue on the shard's packet-forwarding plane.
 
     The plane ({!Lr_packet.Plane}) is created lazily at the first
-    [Inject]/[Forward] op from a snapshot of the shard's current graph,
-    follows every subsequent link event, and is discarded on failover
-    (in-flight packets are lost with the destination).  Its height
-    seeding is a deterministic topological order of the snapshot, so
-    packet responses — like all others — are byte-identical across
-    engine tiers. *)
+    [Inject]/[Forward] op from a flat snapshot of the shard's current
+    adjacency, follows every subsequent link event, and is discarded on
+    failover (in-flight packets are lost with the destination).  Its
+    height seeding is a deterministic topological order of the engine's
+    current orientation, never its heights, so packet responses — like
+    all others — are byte-identical across engine tiers.  A cyclic
+    orientation answers the packet op with [Noop] and one validation
+    failure. *)
 
 val id : t -> int
 val engine_kind : t -> engine_kind

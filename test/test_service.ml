@@ -339,7 +339,7 @@ let test_engines_agree () =
   check_int "no validation failures (reference)" 0 vf_ref
 
 (* Packet ops through the full service: the forwarding planes are
-   seeded from each shard's current graph snapshot (never engine
+   seeded from each shard's current orientation (never engine
    heights), so the whole packet surface — responses, packet counters,
    the fingerprint — must stay byte-identical across engines, job
    counts, and the free/windowed dispatchers. *)
@@ -369,9 +369,37 @@ let test_packet_ops_deterministic () =
   check_bool "packet fingerprint free = windowed" true
     (S.fingerprint r1 m1 = S.fingerprint rw mw)
 
+(* Churn, corrupt heals and crashes on every shard before its first
+   packet op, so planes are seeded from engines whose adjacency rows
+   swap-deletes left unsorted, that adopted corrupted heights, or that
+   were rerooted around an isolated dead node. *)
+let faults_before_packets (s : W.spec) =
+  let rand = rng 21 in
+  List.concat_map
+    (fun shard ->
+      let n = s.W.nodes in
+      let pair () =
+        let u = Random.State.int rand n and v = Random.State.int rand n in
+        (u, v)
+      in
+      let toggles =
+        List.init 6 (fun k ->
+            let u, v = pair () in
+            if k mod 3 = 2 then Op.Link_up { shard; u; v } else Op.Link_down { shard; u; v })
+      in
+      toggles
+      @ [ Op.Corrupt { shard; seed = shard; magnitude = 40 } ]
+      @ (if shard mod 2 = 0 then [ Op.Crash_destination { shard } ] else [])
+      @ List.init 3 (fun _ ->
+            let u, v = pair () in
+            Op.Link_down { shard; u; v }))
+    (List.init s.W.shards Fun.id)
+  |> Array.of_list
+
 let test_packet_ops_across_engines () =
   let s = packet_spec ~ops:700 () in
-  let ops = W.generate s in
+  let prefix = faults_before_packets s in
+  let ops = Array.append prefix (W.generate s) in
   let run engine =
     let cfg = { S.default_config with S.engine } in
     let svc = S.create cfg (W.shard_configs s) in
@@ -384,6 +412,19 @@ let test_packet_ops_across_engines () =
   in
   let rf, fpf = run Shard.Fast in
   let rr, fpr = run Shard.Reference in
+  let k = Array.length prefix in
+  let count p rs = Array.fold_left (fun c r -> if p r then c + 1 else c) 0 rs in
+  let before = Array.sub rf 0 k and after = Array.sub rf k (Array.length rf - k) in
+  check_bool "the prefix crashed destinations" true
+    (count (function Op.New_destination _ -> true | _ -> false) before > 0);
+  check_bool "the prefix healed corruptions" true
+    (count (function Op.Healed _ -> true | _ -> false) before > 0);
+  check_bool "the prefix cut and added links" true
+    (count (function Op.Repaired _ | Op.Cut _ -> true | _ -> false) before > 0
+     && count (function Op.Linked _ -> true | _ -> false) before > 0);
+  check_bool "packets delivered after the prefix" true
+    (count (function Op.Forwarded { delivered; _ } -> delivered > 0 | _ -> false) after
+     > 0);
   check_bool "packet responses identical across engines" true (rf = rr);
   check_bool "packet fingerprints identical across engines" true (fpf = fpr)
 
