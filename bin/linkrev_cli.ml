@@ -1061,17 +1061,26 @@ module Service_cli = struct
                       (1000.0 *. snap.Metrics.recovery.Lr_analysis.Stats.p99)
                       (1000.0 *. snap.Metrics.recovery.Lr_analysis.Stats.p999)
                       (1000.0 *. snap.Metrics.recovery.Lr_analysis.Stats.max);
-                  Format.printf "throughput: %.0f ops/s (%.3f s wall)@."
-                    (float_of_int (Array.length ops) /. Float.max 1e-9 seconds)
+                  (* Goodput counts answered ops only: a shed op is
+                     not served, however fast it was turned away. *)
+                  let offered = Array.length ops in
+                  let rejected = Svc.rejected_in responses in
+                  Format.printf
+                    "goodput: %.0f ops/s (%d of %d ops answered, %d rejected \
+                     = %.1f%%, %.3f s wall)@."
+                    (float_of_int (offered - rejected) /. Float.max 1e-9 seconds)
+                    (offered - rejected) offered rejected
+                    (100.0 *. float_of_int rejected
+                    /. float_of_int (max 1 offered))
                     seconds;
                   Format.printf "fingerprint: %s@."
                     (Svc.fingerprint responses snap);
-                  let leaked = Svc.rejected_in responses <> t.Metrics.rejected in
+                  let leaked = rejected <> t.Metrics.rejected in
                   if leaked then
                     Format.printf
                       "FAILURE: %d rejected responses vs %d rejected in \
                        metrics@."
-                      (Svc.rejected_in responses) t.Metrics.rejected;
+                      rejected t.Metrics.rejected;
                   if t.Metrics.validation_failures > 0 then
                     Format.printf "FAILURE: %d route validation failures@."
                       t.Metrics.validation_failures;

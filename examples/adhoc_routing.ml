@@ -37,11 +37,20 @@ let () =
   for round = 1 to 12 do
     let edges = Digraph.directed_edges (M.graph m) in
     let u, v = List.nth edges (Random.State.int rng (List.length edges)) in
+    let nodes = Digraph.nodes (M.graph m) in
+    let before = Node.Set.fold (fun x acc -> (x, M.height_pair m x) :: acc) nodes [] in
     (match M.fail_link m u v with
-    | M.Stabilized { node_steps; affected } ->
+    | M.Stabilized { node_steps } ->
         incr failures;
+        (* Every reversal raises its node's height, so the reversing
+           nodes are the ones whose height rose. *)
+        let rose =
+          List.fold_left
+            (fun acc (x, h) -> if M.height_pair m x <> h then Node.Set.add x acc else acc)
+            Node.Set.empty before
+        in
         Format.printf "round %2d: link {%a,%a} failed, repaired with %d reversals by %a@."
-          round Node.pp u Node.pp v node_steps Node.Set.pp affected
+          round Node.pp u Node.pp v node_steps Node.Set.pp rose
     | M.Partitioned lost ->
         incr partitions;
         Format.printf "round %2d: link {%a,%a} failed, PARTITION — lost %a@."

@@ -60,6 +60,8 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
+  (* Route scratch: the path being descended, at most [n + 1] hops. *)
+  path : int array;
   (* BFS scratch. *)
   queue : int array;
   seen : bool array;
@@ -301,6 +303,36 @@ let next_hop t v =
 
 (* {1 Repair} *)
 
+(* One partial-reversal raise of [u], which must have a neighbour:
+   [ha u] becomes one above its neighbours' least [ha]; if some
+   neighbour already sits at that new [ha], [hb u] becomes one below
+   the least [hb] among those.  One pass: it keeps the least [hb] at
+   the running minimum [ha] [m] and, if any, at [m + 1] — when [m]
+   drops by one, the old minimum's entry becomes the [m + 1] entry. *)
+let pr_raise adj ha hb u =
+  let w0 = G.Dyn.nbr adj u 0 in
+  let m = ref ha.(w0) and b_m = ref hb.(w0) in
+  let at_m1 = ref false and b_m1 = ref 0 in
+  for i = 1 to G.Dyn.degree adj u - 1 do
+    let w = G.Dyn.nbr adj u i in
+    let a = ha.(w) and b = hb.(w) in
+    if a < !m then begin
+      at_m1 := a = !m - 1;
+      b_m1 := !b_m;
+      m := a;
+      b_m := b
+    end
+    else if a = !m then begin
+      if b < !b_m then b_m := b
+    end
+    else if a = !m + 1 then begin
+      if not !at_m1 || b < !b_m1 then b_m1 := b;
+      at_m1 := true
+    end
+  done;
+  ha.(u) <- !m + 1;
+  if !at_m1 then hb.(u) <- !b_m1 - 1
+
 (* One reversal at the sink [u]: raise its height per the rule, adjust
    in-degrees along the (derived) flipped edges, queue any neighbour
    that just became a sink, and drop the cache entries whose choice the
@@ -309,23 +341,7 @@ let next_hop t v =
 let step t u =
   let d = G.Dyn.degree t.adj u in
   (match t.rule with
-  | Maintenance.Partial_reversal ->
-      let min_a = ref max_int in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.ha.(w) < !min_a then min_a := t.ha.(w)
-      done;
-      let new_a = !min_a + 1 in
-      let min_b = ref max_int and same = ref false in
-      for i = 0 to d - 1 do
-        let w = G.Dyn.nbr t.adj u i in
-        if t.ha.(w) = new_a then begin
-          same := true;
-          if t.hb.(w) < !min_b then min_b := t.hb.(w)
-        end
-      done;
-      t.ha.(u) <- new_a;
-      if !same then t.hb.(u) <- !min_b - 1
+  | Maintenance.Partial_reversal -> pr_raise t.adj t.ha t.hb u
   | Maintenance.Full_reversal ->
       let max_a = ref min_int in
       for i = 0 to d - 1 do
@@ -362,7 +378,6 @@ let stabilize ?budget t =
         (4 * s * s) + 1000
   in
   let steps = ref 0 in
-  let affected = ref Node.Set.empty in
   let running = ref true in
   while !running do
     if !steps > budget then
@@ -371,11 +386,10 @@ let stabilize ?budget t =
     | -1 -> running := false
     | u ->
         step t u;
-        affected := Node.Set.add u !affected;
         incr steps
   done;
   t.work <- t.work + !steps;
-  Maintenance.Stabilized { node_steps = !steps; affected = !affected }
+  Maintenance.Stabilized { node_steps = !steps }
 
 (* {1 Scan-mode component maintenance (the PR-8 eager baseline)} *)
 
@@ -593,11 +607,11 @@ let maybe_rebuild t =
 let fail_link t u v =
   if not (mem_edge t u v) then invalid_arg "Maintenance.fail_link: no such link";
   let was_in_comp = in_comp t u in
+  let upper, lower = if compare_heights t u v > 0 then (u, v) else (v, u) in
   G.Dyn.remove_edge t.adj u v;
   (* The lower endpoint loses an incoming edge; the upper one may have
      lost its last outgoing edge and become a sink. *)
-  (if compare_heights t u v > 0 then t.in_deg.(v) <- t.in_deg.(v) - 1
-   else t.in_deg.(u) <- t.in_deg.(u) - 1);
+  t.in_deg.(lower) <- t.in_deg.(lower) - 1;
   invalidate t u;
   invalidate t v;
   push_if_sink t u;
@@ -619,6 +633,17 @@ let fail_link t u v =
         Uf.mark_dirty t.uf t.slot.(u);
         stabilize t
       end
+      else if upper <> t.dest && G.Dyn.degree t.adj upper > t.in_deg.(upper)
+      then
+        (* The destination's component was stabilized, so each of its
+           nodes reaches the destination along strictly descending
+           heights.  The lower endpoint's path and the path from the
+           upper endpoint's remaining out-neighbour both stay below the
+           upper endpoint, so neither uses the removed edge: nothing is
+           cut off and the split probe is skipped.  The guard is "has
+           an out-edge", not "is not a sink": an isolated endpoint is
+           no sink, yet it is cut off. *)
+        stabilize t
       else begin
         match split_after_removal t u v with
         | None -> stabilize t
@@ -772,6 +797,7 @@ let init ~index rule ~dest adj rank =
       hits = 0;
       misses = 0;
       invalidations = 0;
+      path = Array.make (n + 1) 0;
       queue = Array.make (max n 1) 0;
       seen = Array.make n false;
       bq_a = Array.make (max n 1) 0;
@@ -958,19 +984,30 @@ let adopt_heights t f =
 
 (* {1 Queries} *)
 
+(* Descend into [t.path], then cons the list once, from the back. *)
 let route t u =
   if not (mem_node t u) then None
   else if u = t.dest then Some [ u ]
   else
-    let rec descend v acc fuel =
-      if fuel = 0 then None
-      else if v = t.dest then Some (List.rev (v :: acc))
-      else
-        match next_hop t v with
-        | -1 -> None
-        | w -> descend w (v :: acc) (fuel - 1)
+    let p = t.path in
+    let rec descend v len =
+      if len > t.n then None
+      else begin
+        p.(len) <- v;
+        if v = t.dest then begin
+          let l = ref [] in
+          for i = len downto 0 do
+            l := p.(i) :: !l
+          done;
+          Some !l
+        end
+        else
+          match next_hop t v with
+          | -1 -> None
+          | w -> descend w (len + 1)
+      end
     in
-    descend u [] (t.n + 1)
+    descend u 0
 
 let has_path t src =
   if not (mem_node t src) then false

@@ -148,6 +148,16 @@ val has_path : t -> Node.t -> bool
     See {!in_dest_component} for the O(α) equivalent on a stabilized
     engine. *)
 
+val pr_raise :
+  Lr_fast.Fast_graph.Dyn.t -> int array -> int array -> Node.t -> unit
+(** [pr_raise adj ha hb u] performs one Partial Reversal height raise
+    of [u] over flat [(pa, pb)] height arrays: [ha.(u)] becomes one
+    more than the least [ha] among [u]'s neighbours in [adj], and if a
+    neighbour already has that new [ha], [hb.(u)] becomes one less
+    than the least [hb] among such neighbours.  The repair step of
+    this engine and the packet plane's reversals both use it.  [u] must
+    have at least one neighbour. *)
+
 val fail_link : t -> Node.t -> Node.t -> Maintenance.change_result
 (** @raise Invalid_argument if absent. *)
 

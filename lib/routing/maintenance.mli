@@ -21,9 +21,13 @@ type rule = Full_reversal | Partial_reversal
 type t
 
 type change_result =
-  | Stabilized of { node_steps : int; affected : Node.Set.t }
-      (** Reversal work performed to restore destination orientation;
-          [affected] are the nodes that reversed. *)
+  | Stabilized of { node_steps : int }
+      (** Reversal work performed to restore destination orientation:
+          the number of single-node reversal steps.  Which nodes
+          reversed is not collected (it would cost a set insertion per
+          step); every step strictly raises the stepping node's height
+          and nothing else changes a height, so the reversing nodes are
+          exactly those whose {!height_pair} rose. *)
   | Partitioned of Node.Set.t
       (** Nodes cut off from the destination; no reversals performed. *)
 

@@ -23,13 +23,19 @@ let make rule config =
 
 let route_testable = Alcotest.(option (list int))
 
-(* Full-state agreement: work, orientation, height order, routes. *)
+(* Full-state agreement: work, orientation, absolute heights, height
+   order, routes.  Every reversal strictly raises its node's height and
+   nothing else changes one, so equal heights after every event also
+   mean the two engines reversed the same nodes. *)
 let agree what sys =
   check_int (what ^ ": total work") (M.total_work sys.m) (FM.total_work sys.f);
   Alcotest.check digraph_testable
     (what ^ ": oriented graph")
     (M.graph sys.m) (FM.graph sys.f);
   for u = 0 to sys.n - 1 do
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "%s: height of %d" what u)
+      (M.height_pair sys.m u) (FM.height sys.f u);
     for v = 0 to sys.n - 1 do
       if u <> v then
         check_int
@@ -49,10 +55,8 @@ let agree what sys =
 
 let check_result what rm rf =
   match (rm, rf) with
-  | ( M.Stabilized { node_steps = s1; affected = a1 },
-      M.Stabilized { node_steps = s2; affected = a2 } ) ->
-      check_int (what ^ ": node steps") s1 s2;
-      check_node_set (what ^ ": affected") a1 a2
+  | M.Stabilized { node_steps = s1 }, M.Stabilized { node_steps = s2 } ->
+      check_int (what ^ ": node steps") s1 s2
   | M.Partitioned a, M.Partitioned b -> check_node_set (what ^ ": lost") a b
   | M.Stabilized _, M.Partitioned _ ->
       Alcotest.failf "%s: reference stabilized, fast partitioned" what
@@ -185,8 +189,10 @@ let test_partition_heal_pinned () =
          only the lazy index sees as dirt, leaving pending sinks in
          the class bag. *)
       check_result "cut 5-6" (M.fail_link sys.m 5 6) (FM.fail_link sys.f 5 6);
+      agree "5-6 cut" sys;
       M.add_link sys.m 5 6;
       FM.add_link sys.f 5 6;
+      agree "5-6 restored" sys;
       check_result "cut 4-5" (M.fail_link sys.m 4 5) (FM.fail_link sys.f 4 5);
       agree "lost side churned" sys;
       (* Phase 3: heal deepest-first, so each absorb drags a dirty
@@ -232,6 +238,9 @@ let test_scan_uf_differential () =
         Alcotest.check digraph_testable (what ^ ": graph") (FM.graph scan)
           (FM.graph uf);
         for u = 0 to 15 do
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: height of %d" what u)
+            (FM.height scan u) (FM.height uf u);
           Alcotest.check route_testable
             (Printf.sprintf "%s: route %d" what u)
             (FM.route scan u) (FM.route uf u);
@@ -406,7 +415,11 @@ let tape what rand ~live a b =
        FM.add_link b u v
      end);
     if FM.route a v <> FM.route b v then
-      Q.Test.fail_reportf "%s: route from %d differs" what v
+      Q.Test.fail_reportf "%s: route from %d differs" what v;
+    for x = 0 to n - 1 do
+      if FM.height a x <> FM.height b x then
+        Q.Test.fail_reportf "%s: height of %d differs" what x
+    done
   done;
   same_engine (what ^ ", after the tape") a b
 
@@ -475,6 +488,138 @@ let reroot_prop =
          return (n, extra, seed)))
     reroot_matches_create
 
+(* {1 Partial-reversal raise} *)
+
+(* The raise restated in two passes over a neighbour list: one above
+   the least neighbour [ha]; one below the least [hb] among neighbours
+   already at that [ha], if any. *)
+let pr_spec ha hb nbrs u =
+  let new_a = List.fold_left (fun m w -> min m ha.(w)) max_int nbrs + 1 in
+  match List.filter (fun w -> ha.(w) = new_a) nbrs with
+  | [] -> (new_a, hb.(u))
+  | same -> (new_a, List.fold_left (fun m w -> min m hb.(w)) max_int same - 1)
+
+(* [pr_raise] at the centre of a star, neighbour heights drawn from a
+   window a few units wide (so ties and off-by-one minima are common)
+   around bases that include both ends of the int range. *)
+let pr_raise_matches_spec (d, base, seed) =
+  let module G = Lr_fast.Fast_graph in
+  let adj =
+    G.Dyn.of_graph
+      (G.of_config
+         (Config.make_exn
+            (Digraph.of_directed_edges (List.init d (fun i -> (0, i + 1))))
+            ~destination:1))
+  in
+  let rand = rng seed in
+  let pick b = b + Random.State.int rand 4 in
+  let ha = Array.init (d + 1) (fun _ -> pick base) in
+  let hb = Array.init (d + 1) (fun _ -> pick (-2)) in
+  let expected = pr_spec ha hb (List.init d (fun i -> i + 1)) 0 in
+  FM.pr_raise adj ha hb 0;
+  (ha.(0), hb.(0)) = expected
+
+let pr_raise_prop =
+  Q.Test.make ~count:2000 ~name:"pr_raise = two-pass PR raise"
+    (Q.make
+       ~print:(fun (d, b, s) -> Printf.sprintf "d=%d base=%d seed=%d" d b s)
+       Q.Gen.(
+         let* d = int_range 1 8 in
+         let* base = oneofl [ min_int; -3; 0; 5; max_int - 4; max_int - 3 ] in
+         let* seed = int_range 0 1_000_000 in
+         return (d, base, seed)))
+    pr_raise_matches_spec
+
+(* {1 Skipped split probe} *)
+
+(* The destination's component of [g]'s skeleton without the link
+   [{a, b}], by a plain BFS over the persistent graph — independent of
+   the engine's union-find index and split probe. *)
+let component_without g dest (a, b) =
+  let cut x y = (x = a && y = b) || (x = b && y = a) in
+  let rec bfs seen = function
+    | [] -> seen
+    | x :: rest ->
+        let fresh =
+          Node.Set.filter
+            (fun y -> (not (cut x y)) && not (Node.Set.mem y seen))
+            (Digraph.neighbors g x)
+        in
+        bfs (Node.Set.union seen fresh) (Node.Set.elements fresh @ rest)
+  in
+  bfs (Node.Set.singleton dest) [ dest ]
+
+(* After a random churn prefix, every link removal inside the
+   destination's component must answer [Partitioned] exactly when the
+   link was a bridge of that component, and lose exactly the far side —
+   including the removals where [fail_link] proves "no split" without
+   probing. *)
+let removal_reports_bridges (n, extra, seed) =
+  let config =
+    Config.of_instance
+      (Generators.random_connected_dag
+         (Random.State.make [| 0xb1; seed |])
+         ~n ~extra_edges:extra)
+  in
+  List.iter
+    (fun rule ->
+      let f = FM.create ~index:FM.Uf rule config in
+      let rand = rng (seed + 9) in
+      let dest = FM.destination f in
+      for k = 1 to 2 * n do
+        let u = Random.State.int rand n and v = Random.State.int rand n in
+        if k mod 13 = 0 && u <> dest then ignore (FM.fail_node f u)
+        else if u <> v && FM.mem_edge f u v then ignore (FM.fail_link f u v)
+        else if u <> v then FM.add_link f u v
+      done;
+      for k = 1 to 3 * n do
+        let what =
+          Printf.sprintf "%s removal %d"
+            (match rule with M.Partial_reversal -> "PR" | M.Full_reversal -> "FR")
+            k
+        in
+        let g = FM.graph f in
+        (* No link is {-1, -1}: the whole component. *)
+        let comp = component_without g dest (-1, -1) in
+        let inside =
+          List.filter
+            (fun (a, _) -> Node.Set.mem a comp)
+            (Digraph.directed_edges g)
+        in
+        if inside = [] || Random.State.int rand 4 = 0 then begin
+          let u = Random.State.int rand n and v = Random.State.int rand n in
+          if u <> v && not (FM.mem_edge f u v) then FM.add_link f u v
+        end
+        else begin
+          let a, b = List.nth inside (Random.State.int rand (List.length inside)) in
+          let far = Node.Set.diff comp (component_without g dest (a, b)) in
+          (match FM.fail_link f a b with
+          | M.Stabilized _ ->
+              if not (Node.Set.is_empty far) then
+                Q.Test.fail_reportf "%s: bridge {%d,%d} not reported" what a b
+          | M.Partitioned lost ->
+              if Node.Set.is_empty far then
+                Q.Test.fail_reportf "%s: {%d,%d} is no bridge" what a b;
+              if not (Node.Set.equal lost far) then
+                Q.Test.fail_reportf "%s: lost set is not the far side" what);
+          if not (FM.consistent f) then
+            Q.Test.fail_reportf "%s: inconsistent engine" what
+        end
+      done)
+    [ M.Partial_reversal; M.Full_reversal ];
+  true
+
+let bridge_prop =
+  Q.Test.make ~count:150 ~name:"fail_link partitions iff the link is a bridge"
+    (Q.make
+       ~print:(fun (n, e, s) -> Printf.sprintf "n=%d extra=%d seed=%d" n e s)
+       Q.Gen.(
+         let* n = int_range 2 18 in
+         let* extra = int_range 0 n in
+         let* seed = int_range 0 1_000_000 in
+         return (n, extra, seed)))
+    removal_reports_bridges
+
 let () =
   Alcotest.run "fast_maintenance"
     [
@@ -506,4 +651,6 @@ let () =
             test_cache_invalidated_by_churn;
         ];
       suite "reroot" [ QCheck_alcotest.to_alcotest reroot_prop ];
+      suite "split probe" [ QCheck_alcotest.to_alcotest bridge_prop ];
+      suite "pr raise" [ QCheck_alcotest.to_alcotest pr_raise_prop ];
     ]
