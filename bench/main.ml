@@ -1223,18 +1223,18 @@ let trace () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* D-S1: the sharded routing service — barrier-free ring dispatch vs
-   the windowed oracle: throughput, latency SLOs, differential
-   determinism (free-running must reproduce the oracle's responses and
-   counters byte-for-byte), ring/steal observability, and bounded-queue
-   backpressure under overload in both modes. *)
+(* D-S1: the sharded routing service — goodput, latency SLOs,
+   determinism across domain counts (responses and counters
+   byte-identical at every jobs level and window), queue observability,
+   and bounded-queue backpressure under overload, whose rejection set
+   must be identical across jobs too. *)
 
 type service_run = {
   sr_jobs : int;
-  sr_mode : string;  (* "free" (ring dispatch) | "windowed" (oracle) *)
+  sr_window : int;
   sr_seconds : float;  (* best wall time over [sr_repeats] runs *)
   sr_repeats : int;
-  sr_throughput : float;
+  sr_goodput : float;  (* answered (non-rejected) ops per second of wall *)
   sr_latency : Lr_analysis.Stats.percentiles;
   sr_totals : Lr_service.Metrics.totals;
   sr_rings : Lr_service.Metrics.ring_totals;
@@ -1245,16 +1245,17 @@ let fprint_service_run oc ~(base : service_run) (r : service_run) =
   let module Metrics = Lr_service.Metrics in
   let module Stats = Lr_analysis.Stats in
   Printf.fprintf oc
-    "{\"jobs\": %d, \"mode\": %S, \"seconds\": %.4f, \"repeats\": %d, \
-     \"throughput_ops_per_s\": %.0f, \"speedup_vs_1job\": %.2f,\n\
+    "{\"jobs\": %d, \"window\": %d, \"seconds\": %.4f, \"repeats\": %d, \
+     \"goodput_ops_per_s\": %.0f, \"rejected\": %d, \"speedup_vs_1job\": \
+     %.2f,\n\
     \     \"latency_ms\": {\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f, \
      \"p999\": %.4f, \"max\": %.4f},\n\
-    \     \"ring\": {\"max_depth\": %d, \"mean_depth\": %.2f, \
-     \"steal_attempts\": %d, \"stolen\": %d},\n\
+    \     \"queue\": {\"max_depth\": %d, \"mean_depth\": %.2f},\n\
     \     \"served\": %d, \"routes\": %d, \"no_routes\": %d, \
-     \"rejected\": %d, \"reversal_steps\": %d, \"validation_failures\": %d,\n\
+     \"reversal_steps\": %d, \"validation_failures\": %d,\n\
     \     \"fingerprint\": %S}"
-    r.sr_jobs r.sr_mode r.sr_seconds r.sr_repeats r.sr_throughput
+    r.sr_jobs r.sr_window r.sr_seconds r.sr_repeats r.sr_goodput
+    r.sr_totals.Metrics.rejected
     (base.sr_seconds /. Float.max 1e-9 r.sr_seconds)
     (1000.0 *. r.sr_latency.Stats.p50)
     (1000.0 *. r.sr_latency.Stats.p95)
@@ -1262,10 +1263,8 @@ let fprint_service_run oc ~(base : service_run) (r : service_run) =
     (1000.0 *. r.sr_latency.Stats.p999)
     (1000.0 *. r.sr_latency.Stats.max)
     r.sr_rings.Metrics.max_depth r.sr_rings.Metrics.mean_depth
-    r.sr_rings.Metrics.steal_attempts r.sr_rings.Metrics.stolen
     r.sr_totals.Metrics.served r.sr_totals.Metrics.routes
-    r.sr_totals.Metrics.no_routes r.sr_totals.Metrics.rejected
-    r.sr_totals.Metrics.reversal_steps
+    r.sr_totals.Metrics.no_routes r.sr_totals.Metrics.reversal_steps
     r.sr_totals.Metrics.validation_failures r.sr_fingerprint
 
 let fprint_workload_spec oc (spec : Lr_service.Workload.spec) =
@@ -1276,16 +1275,21 @@ let fprint_workload_spec oc (spec : Lr_service.Workload.spec) =
     spec.Lr_service.Workload.extra_edges spec.Lr_service.Workload.seed
     spec.Lr_service.Workload.ops spec.Lr_service.Workload.skew
 
-(* [available_domains] is what the host actually exposes; when it is
-   below the largest jobs level benched, the speedup column is
-   time-slicing, not scaling, and [scaling_valid] says so
-   machine-readably. *)
+let fprint_service_runs oc ~indent runs =
+  let base = match runs with r :: _ -> r | [] -> assert false in
+  List.iteri
+    (fun i r ->
+      Printf.fprintf oc "%s" indent;
+      fprint_service_run oc ~base r;
+      Printf.fprintf oc "%s\n" (if i = List.length runs - 1 then "" else ","))
+    runs
+
+(* [available_domains] is what the host actually exposes; the service
+   clamps [jobs] to it, so no row time-slices more domains than that. *)
 let write_service_json ~file ~(spec : Lr_service.Workload.spec)
-    ~available_domains ~scaling_valid runs ~deterministic
-    ~free_matches_oracle ~overload_free:(of_rej, of_leak)
-    ~overload_windowed:(ow_rej, ow_leak)
+    ~available_domains runs ~deterministic
+    ~overload:(ospec, o_jobs, o_rej, o_identical, o_leak)
     ~large:(lspec, lruns, lcapped, lcap) =
-  let base = List.find (fun r -> r.sr_jobs = 1 && r.sr_mode = "free") runs in
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -1294,46 +1298,34 @@ let write_service_json ~file ~(spec : Lr_service.Workload.spec)
         "{\n  \"generated_by\": \"bench/main.exe service\",\n\
         \  \"available_domains\": %d,\n\
         \  \"recommended_domains\": %d,\n\
-        \  \"scaling_valid\": %b,\n\
         \  \"workload\": "
-        available_domains (P.recommended_jobs ()) scaling_valid;
+        available_domains (P.recommended_jobs ());
       fprint_workload_spec oc spec;
       Printf.fprintf oc ",\n  \"runs\": [\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc "    ";
-          fprint_service_run oc ~base r;
-          Printf.fprintf oc "%s\n"
-            (if i = List.length runs - 1 then "" else ","))
-        runs;
+      fprint_service_runs oc ~indent:"    " runs;
       Printf.fprintf oc
         "  ],\n\
         \  \"deterministic_across_jobs\": %b,\n\
-        \  \"free_matches_deterministic\": %b,\n\
-        \  \"overload\": {\n\
-        \    \"free\": {\"jobs\": 2, \"rejected\": %d, \"leaked\": %b},\n\
-        \    \"windowed\": {\"jobs\": 1, \"rejected\": %d, \"leaked\": %b}\n\
-        \  },\n\
+        \  \"overload\": {\"workload\": "
+        deterministic;
+      fprint_workload_spec oc ospec;
+      Printf.fprintf oc
+        ",\n\
+        \    \"jobs\": [%s], \"rejected\": %d, \"identical_across_jobs\": %b, \
+         \"leaked\": %b},\n\
         \  \"large_topology\": {\n\
         \    \"workload\": "
-        deterministic free_matches_oracle of_rej of_leak ow_rej ow_leak;
+        (String.concat ", " (List.map string_of_int o_jobs))
+        o_rej o_identical o_leak;
       fprint_workload_spec oc lspec;
       Printf.fprintf oc
         ",\n    \"seconds_cap\": %.0f,\n    \"capped\": %b,\n    \"runs\": [\n"
         lcap lcapped;
-      let lbase = match lruns with r :: _ -> r | [] -> base in
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc "      ";
-          fprint_service_run oc ~base:lbase r;
-          Printf.fprintf oc "%s\n"
-            (if i = List.length lruns - 1 then "" else ","))
-        lruns;
+      fprint_service_runs oc ~indent:"      " lruns;
       Printf.fprintf oc "    ]\n  }\n}\n")
 
 let service () =
-  section "D-S1"
-    "routing service: barrier-free ring dispatch vs the windowed oracle";
+  section "D-S1" "routing service: goodput, latency, determinism, overload";
   let module Wl = Lr_service.Workload in
   let module Svc = Lr_service.Service in
   let module Metrics = Lr_service.Metrics in
@@ -1360,33 +1352,17 @@ let service () =
   let ops = Wl.generate spec in
   let configs = Wl.shard_configs spec in
   let default_repeats = if smoke then 2 else 9 in
+  let default_window = Svc.default_config.Svc.window in
   let leaked = ref false in
   let unstable = ref [] in
-  (* One timed run.  The ring capacity defaults to 4096: deep enough
-     that the sweep stream (per-shard depth between stats quiesces is
-     bounded by stats_every) never rejects, small enough that per-run
-     ring allocation does not dominate the minor heap.  "free-pinned"
-     is the free-running dispatcher with [pin_loops]: it spawns the
-     full jobs-1 loops even past the hardware, exercising the
-     token/steal protocol (and reporting real steal counters) on any
-     host; the clamped "free" rows are what production would do. *)
-  let run_once ~mode ~jobs ?(queue_bound = 4_096) ~repeats (spec : Wl.spec)
-      ops configs =
-    (* The free-vs-windowed differential below only holds when nothing
-       rejects, and per-shard ring depth between stats quiesces is
-       bounded by stats_every — so the bound must clear it, by
-       construction rather than by luck. *)
-    if spec.Wl.stats_every > 0 && spec.Wl.stats_every >= queue_bound then
-      invalid_arg
-        (Printf.sprintf
-           "D-S1: stats_every (%d) must stay below queue_bound (%d) or the \
-            differential can reject"
-           spec.Wl.stats_every queue_bound);
-    let deterministic = mode = "windowed" in
+  (* One timed run.  The queue bound defaults to 4096, at least every
+     window benched: a shard's queue never holds more than one window's
+     ops, so these streams cannot reject by construction and every row
+     serves the same ops. *)
+  let run_once ~jobs ?(window = default_window) ~repeats ops configs =
     let svc =
       Svc.create
-        { Svc.default_config with Svc.jobs; queue_bound; deterministic;
-          pin_loops = mode = "free-pinned" }
+        { Svc.default_config with Svc.jobs; queue_bound = 4_096; window }
         configs
     in
     Fun.protect
@@ -1394,17 +1370,17 @@ let service () =
       (fun () ->
         let responses, sr_seconds = P.timed (fun () -> Svc.run svc ops) in
         let snap = Svc.metrics svc in
-        if
-          Svc.rejected_in responses
-          <> snap.Metrics.snapshot_totals.Metrics.rejected
-        then leaked := true;
+        let rejected = Svc.rejected_in responses in
+        if rejected <> snap.Metrics.snapshot_totals.Metrics.rejected then
+          leaked := true;
         {
           sr_jobs = jobs;
-          sr_mode = mode;
+          sr_window = window;
           sr_seconds;
           sr_repeats = repeats;
-          sr_throughput =
-            float_of_int spec.Wl.ops /. Float.max 1e-9 sr_seconds;
+          sr_goodput =
+            float_of_int (Array.length ops - rejected)
+            /. Float.max 1e-9 sr_seconds;
           sr_latency = snap.Metrics.latency;
           sr_totals = snap.Metrics.snapshot_totals;
           sr_rings = snap.Metrics.rings_totals;
@@ -1418,133 +1394,110 @@ let service () =
      interleaving spreads the drift across all of them.  Every
      round's fingerprint must match the configuration's first, or the
      configuration is flagged non-reproducible. *)
-  let sweep ?(repeats = default_repeats) plan spec ops configs =
+  let sweep ~repeats plan ops configs =
     let plan = Array.of_list plan in
     let best = Array.map (fun _ -> None) plan in
     for _rep = 1 to repeats do
       Array.iteri
-        (fun i (mode, jobs) ->
-          let r = run_once ~mode ~jobs ~repeats spec ops configs in
+        (fun i (jobs, window) ->
+          let r = run_once ~jobs ~window ~repeats ops configs in
           match best.(i) with
           | None -> best.(i) <- Some r
           | Some b ->
               if r.sr_fingerprint <> b.sr_fingerprint then
-                unstable := Printf.sprintf "%s jobs=%d" mode jobs :: !unstable;
+                unstable :=
+                  Printf.sprintf "jobs=%d window=%d" jobs window :: !unstable;
               if r.sr_seconds < b.sr_seconds then best.(i) <- Some r)
         plan
     done;
-    Array.to_list best
-    |> List.filter_map (fun b -> b)
+    Array.to_list best |> List.filter_map (fun b -> b)
   in
+  (* The service clamps jobs to the host's domains, so only levels up
+     to that count run distinct configurations. *)
+  let available_domains = Domain.recommended_domain_count () in
   let job_levels =
-    List.sort_uniq compare (1 :: 2 :: 4 :: 8 :: [ P.recommended_jobs () ])
+    List.sort_uniq compare
+      (P.recommended_jobs ()
+      :: List.filter (fun j -> j <= P.recommended_jobs ()) [ 1; 2; 4; 8 ])
   in
-  let plan =
-    List.map (fun j -> ("free", j)) job_levels
-    @ [ ("free-pinned", 4); ("windowed", 1); ("windowed", 4) ]
+  let runs =
+    sweep ~repeats:default_repeats
+      (List.map (fun j -> (j, default_window)) job_levels)
+      ops configs
   in
-  let runs = sweep plan spec ops configs in
-  let mode_runs m = List.filter (fun r -> r.sr_mode = m) runs in
-  let free_runs = mode_runs "free" in
-  let pinned_runs = mode_runs "free-pinned" in
-  let windowed_runs = mode_runs "windowed" in
-  let base = List.find (fun r -> r.sr_jobs = 1) free_runs in
+  let base = List.hd runs in
   T.print
     ~title:(Printf.sprintf "service over %s" (Wl.describe spec))
     (T.make
        ~headers:
-         [ "mode"; "jobs"; "wall"; "ops/s"; "speedup"; "p50 ms"; "p99 ms";
-           "max ring"; "stolen"; "rejected"; "validation failures" ]
+         [ "jobs"; "wall"; "goodput ops/s"; "speedup"; "p50 ms"; "p99 ms";
+           "max queue"; "rejected"; "validation failures" ]
        (List.map
           (fun r ->
             [
-              r.sr_mode;
               string_of_int r.sr_jobs;
               Printf.sprintf "%.3f s" r.sr_seconds;
-              Printf.sprintf "%.0f" r.sr_throughput;
+              Printf.sprintf "%.0f" r.sr_goodput;
               Printf.sprintf "%.2fx"
                 (base.sr_seconds /. Float.max 1e-9 r.sr_seconds);
               Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p50);
               Printf.sprintf "%.3f" (1000.0 *. r.sr_latency.Stats.p99);
               string_of_int r.sr_rings.Metrics.max_depth;
-              string_of_int r.sr_rings.Metrics.stolen;
               string_of_int r.sr_totals.Metrics.rejected;
               string_of_int r.sr_totals.Metrics.validation_failures;
             ])
           runs));
   let deterministic =
-    List.for_all
-      (fun r -> r.sr_fingerprint = base.sr_fingerprint)
-      (free_runs @ pinned_runs)
+    List.for_all (fun r -> r.sr_fingerprint = base.sr_fingerprint) runs
   in
-  let free_matches_oracle =
-    List.for_all (fun r -> r.sr_fingerprint = base.sr_fingerprint) windowed_runs
-  in
-  Printf.printf "free-running responses + counters identical across %s: %b\n"
+  Printf.printf "responses + counters identical across %s: %b\n"
     (String.concat "/"
-       (List.map
-          (fun r ->
-            Printf.sprintf "%sjobs=%d"
-              (if r.sr_mode = "free-pinned" then "pinned " else "")
-              r.sr_jobs)
-          (free_runs @ pinned_runs)))
+       (List.map (fun r -> Printf.sprintf "jobs=%d" r.sr_jobs) runs))
     deterministic;
-  Printf.printf
-    "free-running matches the windowed oracle (responses + counters): %b\n"
-    free_matches_oracle;
-  (match pinned_runs with
-  | r :: _ ->
-      Printf.printf "rings at pinned jobs=%d: %s\n" r.sr_jobs
-        (Metrics.ring_line r.sr_rings)
-  | [] -> ());
-  (* Domain honesty: on a box with fewer domains than the largest jobs
-     level, the sweep time-slices one core and "speedup" is overhead
-     measurement, not scaling. *)
-  let available_domains = Domain.recommended_domain_count () in
-  let max_jobs = List.fold_left (fun a j -> max a j) 1 job_levels in
-  let scaling_valid = available_domains >= max_jobs in
-  if not scaling_valid then
-    Printf.printf
-      "WARNING: host exposes %d domain(s) but the sweep benches up to jobs=%d;\n\
-       multi-job runs are time-sliced and the speedup column measures dispatch\n\
-       overhead, NOT shard-parallel scaling (scaling_valid: false in the JSON).\n"
-      available_domains max_jobs;
-  (* Overload: a tiny ring against a hot-shard workload must shed load
-     as explicit rejections — and account for every one of them — in
-     both dispatch modes.  The free-running rejection COUNT is a
-     wall-clock fact (recorded, not asserted); the windowed one is
-     deterministic. *)
+  (* Overload: a tiny queue against a hot-shard workload must shed load
+     as explicit rejections, account for every one of them, and shed
+     the very same ops at every jobs level. *)
   let overload_spec =
     { spec with Wl.shards = 4; ops = (if smoke then 1_000 else 5_000);
       skew = 3.0 }
   in
   let overload_ops = Wl.generate overload_spec in
-  let overload ~mode ~jobs =
+  let overload ~jobs =
     let osvc =
       Svc.create
-        (* pin_loops: the free overload run needs a real consumer loop
-           (with zero loops the dispatcher drains a full ring inline and
-           nothing is ever rejected), even on a single-domain host. *)
-        { Svc.default_config with Svc.jobs; queue_bound = 4; window = 128;
-          deterministic = (mode = "windowed"); pin_loops = true }
+        { Svc.default_config with Svc.jobs; queue_bound = 4; window = 128 }
         (Wl.shard_configs overload_spec)
     in
     Fun.protect
       ~finally:(fun () -> Svc.shutdown osvc)
       (fun () ->
         let responses = Svc.run osvc overload_ops in
-        let t = (Svc.metrics osvc).Metrics.snapshot_totals in
-        (t.Metrics.rejected, Svc.rejected_in responses <> t.Metrics.rejected))
+        let snap = Svc.metrics osvc in
+        let t = snap.Metrics.snapshot_totals in
+        ( t.Metrics.rejected,
+          Svc.rejected_in responses <> t.Metrics.rejected,
+          Svc.fingerprint responses snap ))
   in
-  let of_rej, of_leak = overload ~mode:"free" ~jobs:2 in
-  let ow_rej, ow_leak = overload ~mode:"windowed" ~jobs:1 in
+  let overloads = List.map (fun j -> (j, overload ~jobs:j)) job_levels in
+  let o_rej, o_leak, o_fp =
+    match overloads with (_, o) :: _ -> o | [] -> assert false
+  in
+  let o_identical =
+    List.for_all (fun (_, (_, _, fp)) -> fp = o_fp) overloads
+  in
+  let o_leak = o_leak || List.exists (fun (_, (_, l, _)) -> l) overloads in
   Printf.printf
-    "overload (4 hot shards, ring capacity 4): free jobs=2 %d/%d rejected \
-     (leak %b), windowed %d/%d rejected (leak %b)\n"
-    of_rej overload_spec.Wl.ops of_leak ow_rej overload_spec.Wl.ops ow_leak;
-  (* Large topology: 64 shards x 1024 nodes.  One free-running run at
-     jobs=1 always; the jobs=4 rerun is skipped (capped) when the base
-     run alone ate half the time budget, so CI boxes stay within it. *)
+    "overload (4 hot shards, queue bound 4): %d/%d rejected at %s, \
+     identical %b (leak %b)\n"
+    o_rej overload_spec.Wl.ops
+    (String.concat "/"
+       (List.map (fun (j, _) -> Printf.sprintf "jobs=%d" j) overloads))
+    o_identical o_leak;
+  (* Large topology: 64 shards x 1024 nodes, at jobs 1 and 2, each at
+     the default window and at window 4096 (more work per round for
+     the domains).  Only the first run is unconditional; the rest are
+     skipped (capped) when it alone ate half the time budget, so CI
+     boxes stay within it. *)
   let large_cap = 120.0 in
   let lspec =
     {
@@ -1565,15 +1518,15 @@ let service () =
   in
   Printf.printf "large topology (%s): generated in %.1f s\n"
     (Wl.describe lspec) setup_seconds;
-  let lrun1 = run_once ~mode:"free" ~jobs:1 ~repeats:1 lspec lops lconfigs in
+  let lrun1 = run_once ~jobs:1 ~repeats:1 lops lconfigs in
   let lcapped = lrun1.sr_seconds > large_cap /. 2.0 in
   let lruns =
     if lcapped then [ lrun1 ]
     else
-      [
-        lrun1;
-        run_once ~mode:"free-pinned" ~jobs:4 ~repeats:1 lspec lops lconfigs;
-      ]
+      lrun1
+      :: List.map
+           (fun (jobs, window) -> run_once ~jobs ~window ~repeats:1 lops lconfigs)
+           [ (1, 4_096); (2, default_window); (2, 4_096) ]
   in
   let large_deterministic =
     List.for_all (fun r -> r.sr_fingerprint = lrun1.sr_fingerprint) lruns
@@ -1581,18 +1534,20 @@ let service () =
   List.iter
     (fun r ->
       Printf.printf
-        "large topology jobs=%d: %.2f s, %.0f ops/s, %d routes, rings %s\n"
-        r.sr_jobs r.sr_seconds r.sr_throughput r.sr_totals.Metrics.routes
+        "large topology jobs=%d window=%d: %.2f s, %.0f ops/s goodput, %d \
+         routes, queues %s\n"
+        r.sr_jobs r.sr_window r.sr_seconds r.sr_goodput
+        r.sr_totals.Metrics.routes
         (Metrics.ring_line r.sr_rings))
     lruns;
   if lcapped then
     Printf.printf
-      "large topology jobs=4 rerun skipped: jobs=1 took %.1f s > %.0f s cap/2\n"
+      "large topology reruns skipped: jobs=1 took %.1f s > %.0f s cap/2\n"
       lrun1.sr_seconds large_cap;
   let file = "BENCH_service.json" in
-  write_service_json ~file ~spec ~available_domains ~scaling_valid runs
-    ~deterministic ~free_matches_oracle ~overload_free:(of_rej, of_leak)
-    ~overload_windowed:(ow_rej, ow_leak)
+  write_service_json ~file ~spec ~available_domains runs ~deterministic
+    ~overload:
+      (overload_spec, List.map fst overloads, o_rej, o_identical, o_leak)
     ~large:(lspec, lruns, lcapped, large_cap);
   Printf.printf "wrote %s\n" file;
   let validation_failures =
@@ -1603,23 +1558,22 @@ let service () =
   if validation_failures then
     Printf.printf "FAILURE: route validation failures in service runs\n";
   if not deterministic then
-    Printf.printf "FAILURE: free-running responses differ across domain counts\n";
-  if not free_matches_oracle then
-    Printf.printf
-      "FAILURE: free-running dispatch diverges from the windowed oracle\n";
+    Printf.printf "FAILURE: responses differ across domain counts\n";
   if not large_deterministic then
-    Printf.printf "FAILURE: large-topology responses differ across domain counts\n";
+    Printf.printf
+      "FAILURE: large-topology responses differ across domain counts or \
+       windows\n";
   if !unstable <> [] then
     Printf.printf "FAILURE: fingerprints changed across repeats of: %s\n"
       (String.concat ", " (List.sort_uniq compare !unstable));
-  if !leaked || of_leak || ow_leak then
+  if !leaked || o_leak then
     Printf.printf "FAILURE: rejected responses and rejected counters disagree\n";
-  if of_rej = 0 || ow_rej = 0 then
-    Printf.printf "FAILURE: an overload scenario shed no load\n";
+  if o_rej = 0 then Printf.printf "FAILURE: the overload scenario shed no load\n";
+  if not o_identical then
+    Printf.printf "FAILURE: overload rejections differ across domain counts\n";
   if
-    validation_failures || (not deterministic) || (not free_matches_oracle)
-    || (not large_deterministic) || !unstable <> [] || !leaked || of_leak
-    || ow_leak || of_rej = 0 || ow_rej = 0
+    validation_failures || (not deterministic) || (not large_deterministic)
+    || !unstable <> [] || !leaked || o_leak || o_rej = 0 || not o_identical
   then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -2416,7 +2370,7 @@ let lint () =
    the stability curve loses its shape (a below-threshold rate
    dropping under 99% delivery, or no diverging rate above), if
    recovery fails to out-deliver stranded greedy packets, or if the
-   service fingerprint moves across jobs/dispatchers. *)
+   service fingerprint moves across jobs. *)
 
 let packet () =
   section "D-B1" "packet forwarding: backpressure stability, void recovery";
@@ -2512,7 +2466,7 @@ let packet () =
     fail "void: greedy delivered everything — the void is not a void";
   if rcv.Geo.delivered < rcv.Geo.injected then
     fail "void: recovery stranded %d packets" rcv.Geo.remaining;
-  (* -- cross-jobs / cross-dispatcher determinism --------------------- *)
+  (* -- cross-jobs determinism ------------------------------------------ *)
   let spec =
     {
       Wl.shards = 8;
@@ -2529,11 +2483,10 @@ let packet () =
   in
   let ops = Wl.generate spec in
   let configs = Wl.shard_configs spec in
-  let run_cfg ~jobs ~deterministic =
+  let run_cfg ~jobs =
     let svc =
       Svc.create
-        { Svc.default_config with Svc.jobs; queue_bound = Array.length ops + 1;
-          deterministic; pin_loops = true }
+        { Svc.default_config with Svc.jobs; queue_bound = Array.length ops + 1 }
         configs
     in
     Fun.protect
@@ -2543,9 +2496,8 @@ let packet () =
         let snap = Svc.metrics svc in
         (Svc.fingerprint responses snap, snap, seconds))
   in
-  let fp1, snap1, s1 = run_cfg ~jobs:1 ~deterministic:false in
-  let fp4, _, s4 = run_cfg ~jobs:4 ~deterministic:false in
-  let fpw, _, sw = run_cfg ~jobs:1 ~deterministic:true in
+  let fp1, snap1, s1 = run_cfg ~jobs:1 in
+  let fp4, _, s4 = run_cfg ~jobs:4 in
   let t = snap1.Metrics.snapshot_totals in
   Printf.printf
     "service packet stream (%s): packets_in %d, out %d, dropped %d, \
@@ -2553,13 +2505,9 @@ let packet () =
     (Wl.describe spec) t.Metrics.packets_in t.Metrics.packets_out
     t.Metrics.packets_dropped t.Metrics.packet_reversals
     t.Metrics.packet_queue_peak;
-  Printf.printf
-    "fingerprints: jobs=1 %s (%.2f s), jobs=4 %s (%.2f s), windowed %s \
-     (%.2f s)\n"
-    fp1 s1 fp4 s4 fpw sw;
+  Printf.printf "fingerprints: jobs=1 %s (%.2f s), jobs=4 %s (%.2f s)\n" fp1 s1
+    fp4 s4;
   if fp1 <> fp4 then fail "packet fingerprint differs across jobs (1 vs 4)";
-  if fp1 <> fpw then
-    fail "packet fingerprint differs between free-running and windowed";
   if t.Metrics.packets_in = 0 then
     fail "the packet stream injected nothing — pmix wiring is broken";
   (* -- JSON ---------------------------------------------------------- *)
@@ -2612,11 +2560,11 @@ let packet () =
       Printf.fprintf oc
         "  \"service\": {\"ops\": %d, \"packets_in\": %d, \"packets_out\": \
          %d, \"packets_dropped\": %d, \"packet_reversals\": %d, \
-         \"queue_peak\": %d, \"fingerprints_identical\": %b}\n}\n"
+         \"queue_peak\": %d, \"fingerprints_identical\": %b, \
+         \"fingerprint\": %S}\n}\n"
         spec.Wl.ops t.Metrics.packets_in t.Metrics.packets_out
         t.Metrics.packets_dropped t.Metrics.packet_reversals
-        t.Metrics.packet_queue_peak
-        (fp1 = fp4 && fp1 = fpw));
+        t.Metrics.packet_queue_peak (fp1 = fp4) fp1);
   Printf.printf "wrote %s\n" file;
   match !failures with
   | [] -> ()

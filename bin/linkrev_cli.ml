@@ -871,13 +871,13 @@ module Service_cli = struct
         & opt queue_bound_conv (Some Svc.default_config.Svc.queue_bound)
         & info [ "queue-bound" ] ~docv:"B"
             ~doc:
-              "Per-shard op-ring capacity (rounded up to a power of two); \
-               an op arriving at a full ring is answered 'rejected \
-               overloaded' on the spot instead of queueing unboundedly.  \
-               $(b,auto) sets the bound to the op count + 1, which makes \
-               rejection impossible by construction — so free-running and \
-               windowed runs of the same stream must agree byte-for-byte \
-               (the CI differential uses this).")
+              "Per-shard queue capacity within one dispatch window; an op \
+               arriving at a full queue is answered 'rejected overloaded' \
+               on the spot instead of queueing unboundedly.  Which ops are \
+               rejected depends only on the stream, the bound and the \
+               window, never on $(b,--jobs).  $(b,auto) sets the bound to \
+               the op count + 1, which makes rejection impossible by \
+               construction.")
     in
     let packet_queue_arg =
       Arg.(
@@ -893,39 +893,10 @@ module Service_cli = struct
         value & opt int Svc.default_config.Svc.window
         & info [ "window" ] ~docv:"W"
             ~doc:
-              "Ops admitted per dispatch round (deterministic windowed \
-               mode only; the free-running path has no windows).")
-    in
-    let deterministic_arg =
-      Arg.(
-        value & flag
-        & info [ "deterministic" ]
-            ~doc:
-              "Use the windowed barrier dispatcher (the differential \
-               oracle) instead of the free-running shard loops: which ops \
-               are rejected, every response and every counter then depend \
-               only on the op stream, never on timing.  Absent overload \
-               the two paths produce identical responses, counters and \
-               fingerprints.")
-    in
-    let steal_batch_arg =
-      Arg.(
-        value & opt int Svc.default_config.Svc.steal_batch
-        & info [ "steal-batch" ] ~docv:"K"
-            ~doc:
-              "Max ops a work-stealing loop drains per stolen shard token \
-               (free-running mode).")
-    in
-    let pin_loops_arg =
-      Arg.(
-        value & flag
-        & info [ "pin-loops" ]
-            ~doc:
-              "Spawn exactly jobs-1 resident shard loops even beyond the \
-               host's domain count.  By default loops are clamped to the \
-               hardware: every live domain joins each minor-GC \
-               stop-the-world barrier, so overprovisioned domains only \
-               slow the service down.")
+              "Ops consumed from the stream per dispatch round, \
+               rejections included; each round drains every busy shard \
+               in parallel behind one barrier.  Larger windows give the \
+               domains more work per round.")
     in
     let rule_arg =
       Arg.(
@@ -962,7 +933,7 @@ module Service_cli = struct
                audit').")
     in
     let serve spec workload chaos jobs queue_bound window rule no_validate
-        engine deterministic steal_batch pin_loops packet_queue trace_dir =
+        engine packet_queue trace_dir =
       let loaded =
         match workload with
         | None -> (
@@ -982,8 +953,7 @@ module Service_cli = struct
           in
           let cfg =
             { Svc.jobs; queue_bound; window; rule;
-              validate = not no_validate; engine; deterministic; steal_batch;
-              pin_loops; packet_queue }
+              validate = not no_validate; engine; packet_queue }
           in
           let svc =
             try Ok (Svc.create ?trace_dir cfg (Wl.shard_configs spec))
@@ -1016,31 +986,27 @@ module Service_cli = struct
                              string_of_int per.Metrics.rejected;
                              string_of_int per.Metrics.reversal_steps;
                              string_of_int ring.Metrics.max_depth;
-                             string_of_int ring.Metrics.stolen;
                            ])
                          snap.Metrics.snapshot_per_shard)
                   in
                   Lr_analysis.Table.print
                     ~title:
                       (Printf.sprintf
-                         "per-shard metrics (%d domains, rule %s, engine %s, \
-                          %s dispatch)"
+                         "per-shard metrics (%d domains, rule %s, engine %s)"
                          jobs
                          (match rule with
                          | Lr_routing.Maintenance.Partial_reversal -> "partial"
                          | Lr_routing.Maintenance.Full_reversal -> "full")
                          (match engine with
                          | Lr_service.Shard.Fast -> "fast"
-                         | Lr_service.Shard.Reference -> "reference")
-                         (if deterministic then "windowed" else "free-running"))
+                         | Lr_service.Shard.Reference -> "reference"))
                     (Lr_analysis.Table.make
                        ~headers:
                          [ "shard"; "served"; "routes"; "no-route"; "links";
-                           "crashes"; "rejected"; "rev steps"; "max ring";
-                           "stolen" ]
+                           "crashes"; "rejected"; "rev steps"; "max queue" ]
                        rows);
                   Format.printf "totals: %s@." (Metrics.totals_line t);
-                  Format.printf "rings: %s@."
+                  Format.printf "queues: %s@."
                     (Metrics.ring_line snap.Metrics.rings_totals);
                   Format.printf
                     "latency (ms over %d samples): p50 %.3f, p95 %.3f, p99 \
@@ -1093,8 +1059,7 @@ module Service_cli = struct
         ret
           (const serve $ spec_term $ workload_arg $ chaos_arg $ jobs_arg
           $ queue_bound_arg $ window_arg $ rule_arg $ no_validate_arg
-          $ engine_arg $ deterministic_arg $ steal_batch_arg $ pin_loops_arg
-          $ packet_queue_arg $ trace_dir_arg))
+          $ engine_arg $ packet_queue_arg $ trace_dir_arg))
     in
     Cmd.v
       (Cmd.info "serve"

@@ -170,16 +170,12 @@ let decl_file (vd : Types.value_description) =
 let pool_root_kind path (vd : Types.value_description) =
   let last = Path.last path in
   if
-    List.mem last [ "map_range"; "run_trials"; "run"; "launch" ]
+    List.mem last [ "map_range"; "run_trials"; "run" ]
     && List.mem (decl_file vd) [ "pool.ml"; "pool.mli" ]
-  then Some (if String.equal last "launch" then Resident else Parallel)
+  then Some Parallel
   else if String.equal (Path.name path) "Stdlib.Domain.spawn" then
     Some Resident
   else None
-
-let is_spsc_entry path (vd : Types.value_description) =
-  List.mem (Path.last path) [ "push"; "pop"; "try_push"; "try_pop" ]
-  && List.mem (decl_file vd) [ "spsc.ml"; "spsc.mli" ]
 
 (* --- graph construction -------------------------------------------- *)
 
@@ -609,12 +605,7 @@ and walk_apply st it e f args =
             args;
           if not !marked then mark_root st st.current.id kind
       | None ->
-          if is_spsc_entry p vd then
-            (* Values handed through an SPSC ring cross domains: the
-               function making the push/pop is on the crossing
-               surface. *)
-            mark_root st st.current.id Parallel
-          else if List.mem full blocking_prims then
+          if List.mem full blocking_prims then
             st.current.blocking <-
               {
                 prim = Walk.strip_stdlib full;

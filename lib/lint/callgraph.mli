@@ -14,15 +14,14 @@
     [Atomic.t] access sites.
 
     Root nodes are where control crosses domains:
-    - {!Resident} — closures handed to [Pool.Persistent.launch] or
-      [Domain.spawn]: long-lived loop bodies whose blocking and
-      escaping exceptions rules L6/L7 police.
+    - {!Resident} — closures handed to [Domain.spawn]: long-lived
+      loop bodies whose blocking and escaping exceptions rules L6/L7
+      police.
     - {!Parallel} — closures handed to [Pool.map_range] /
-      [run_trials] / [Persistent.run], and functions that push/pop an
-      SPSC ring (the values they exchange cross domains).
+      [run_trials] / [Persistent.run].
 
-    Entry points are identified by declaration site (pool.ml/spsc.ml),
-    never by path text, so aliases and [open] cannot hide them. *)
+    Entry points are identified by declaration site (pool.ml), never by
+    path text, so aliases and [open] cannot hide them. *)
 
 type root_kind = Parallel | Resident
 
@@ -55,7 +54,7 @@ type edge = {
 
 type node = {
   id : int;
-  name : string;  (** qualified, e.g. ["Lr_service.Service.run_free.drain"] *)
+  name : string;  (** qualified, e.g. ["Lr_service.Service.run.drain"] *)
   unit_name : string;
   file : string;  (** root-relative source path *)
   line : int;  (** binding start line *)

@@ -3,12 +3,12 @@
    Two reachability sets drive the rules:
 
    - the {e domain-crossing set}: everything reachable from any root
-     (Pool closures, SPSC call sites, [Domain.spawn]).  L5 uses an
-     owner-pruned variant — an [lr:owner] annotation on a
-     function binding declares a single-owner extent, so reachability
-     stops at that node's outgoing edges; L8 uses the unpruned set.
+     (Pool closures, [Domain.spawn]).  L5 uses an owner-pruned
+     variant — an [lr:owner] annotation on a function binding declares
+     a single-owner extent, so reachability stops at that node's
+     outgoing edges; L8 uses the unpruned set.
    - the {e resident set}: everything reachable from [Resident] roots
-     only (launch/spawn loop bodies).  L6/L7 police it, and owner
+     only ([Domain.spawn] loop bodies).  L6/L7 police it, and owner
      boundaries do NOT prune it: a single writer does not excuse
      blocking a resident loop, it only excuses its writes.
 

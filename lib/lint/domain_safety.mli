@@ -2,13 +2,13 @@
 
     {2 Reachability sets}
 
-    - {e crossing}: nodes reachable from any root — Pool closures,
-      SPSC push/pop call sites, [Domain.spawn].  L8 checks atomics
-      against this set.  L5 uses an owner-pruned variant: an owner
-      boundary (see below) declares a single-owner extent, so crossing
-      reachability stops at its outgoing edges.
+    - {e crossing}: nodes reachable from any root — Pool closures and
+      [Domain.spawn].  L8 checks atomics against this set.  L5 uses an
+      owner-pruned variant: an owner boundary (see below) declares a
+      single-owner extent, so crossing reachability stops at its
+      outgoing edges.
     - {e resident}: nodes reachable from [Resident] roots only
-      (launch/spawn loop bodies).  L6 and L7 police this set; owner
+      ([Domain.spawn] loop bodies).  L6 and L7 police this set; owner
       boundaries do not prune it — a single writer does not excuse
       blocking a resident loop.
 

@@ -23,17 +23,16 @@
     - {b L5 race candidates} — writes to non-atomic mutable state
       (refs, mutable record fields, array/bytes cells, mutable
       containers) in functions reachable from domain-crossing roots
-      (Pool closures, [Spsc.try_push]/[try_pop] call sites,
-      [Domain.spawn]), unless covered by an [(* lr:owner who: why *)]
-      annotation documenting the single-owner discipline.
+      (Pool closures, [Domain.spawn]), unless covered by an
+      [(* lr:owner who: why *)] annotation documenting the single-owner
+      discipline.
     - {b L6 resident-loop blocking} — blocking or unbounded primitives
       ([Mutex.lock], [Condition.wait], [Unix.sleep]/[sleepf]/[select],
       channel reads, printing to the shared std channels) reachable
       from a resident run-to-completion loop body.
     - {b L7 escaping exceptions} — raise sites whose exception can
-      propagate out of a [Domain.spawn]/[Pool.Persistent.launch]
-      closure with no handler inside the loop: in free-running
-      dispatch that is a silently dead domain.  Re-raises inside an
+      propagate out of a [Domain.spawn] closure with no handler inside
+      the loop: that is a silently dead domain.  Re-raises inside an
       exception handler count as deliberate propagation.
     - {b L8 atomic overhead smell} — [Atomic.t] values all of whose
       access sites sit outside the domain-crossing set; the fences buy

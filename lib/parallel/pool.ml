@@ -90,10 +90,6 @@ module Persistent = struct
     mutable task : int -> unit;
     mutable total : int;
     mutable chunk : int;
-    mutable pinned : bool;
-        (* this round's assignment: worker [i] runs [task i] directly
-           (resident loops) instead of stealing off the cursor *)
-    mutable busy : bool;  (* a [launch]ed round has not been [await]ed *)
     cursor : int Atomic.t;
     failure : (exn * Printexc.raw_backtrace) option Atomic.t;
     mutable generation : int;
@@ -130,7 +126,7 @@ module Persistent = struct
   (* lr:owner parked worker: the lock/wait pair is the parking
      handshake by design, and [t.finished] is only ever written with
      [t.lock] held. *)
-  let worker t idx =
+  let worker t =
     let seen = ref 0 in
     let running = ref true in
     while !running do
@@ -145,16 +141,8 @@ module Persistent = struct
       else begin
         seen := t.generation;
         let task = t.task and total = t.total and chunk = t.chunk in
-        let pinned = t.pinned in
         Mutex.unlock t.lock;
-        (if pinned then begin
-           if idx < total then
-             try task idx
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set t.failure None (Some (e, bt)))
-         end
-         else steal ~task ~total ~chunk ~cursor:t.cursor ~failure:t.failure);
+        steal ~task ~total ~chunk ~cursor:t.cursor ~failure:t.failure;
         Mutex.lock t.lock;
         t.finished <- t.finished + 1;
         Condition.broadcast t.idle;
@@ -170,8 +158,6 @@ module Persistent = struct
         task = ignore;
         total = 0;
         chunk = 1;
-        pinned = false;
-        busy = false;
         cursor = Atomic.make 0;
         failure = Atomic.make None;
         generation = 0;
@@ -183,14 +169,13 @@ module Persistent = struct
         domains = [];
       }
     in
-    t.domains <- List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t i));
+    t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
     t
 
   let run ?(chunk = 1) t n f =
     if n < 0 then invalid_arg "Pool.Persistent.run: negative range";
     if chunk < 1 then invalid_arg "Pool.Persistent.run: chunk must be positive";
     if t.stopped then invalid_arg "Pool.Persistent.run: pool is shut down";
-    if t.busy then invalid_arg "Pool.Persistent.run: a launched round is live";
     if n = 0 then ()
     else if t.pjobs = 1 || n = 1 then
       for i = 0 to n - 1 do
@@ -201,11 +186,11 @@ module Persistent = struct
       t.task <- f;
       t.total <- n;
       t.chunk <- chunk;
-      t.pinned <- false;
       (* lr:owner steal cursor: workers race on this atomic through the
          [~cursor] parameter of [steal], which the call-graph analysis
          cannot alias back to the field. *)
       Atomic.set t.cursor 0;
+      (* lr:owner round failure: likewise shared through [~failure]. *)
       Atomic.set t.failure None;
       t.finished <- 0;
       t.generation <- t.generation + 1;
@@ -217,48 +202,6 @@ module Persistent = struct
         Condition.wait t.idle t.lock
       done;
       t.task <- ignore;
-      Mutex.unlock t.lock;
-      match Atomic.get t.failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-
-  (* Resident rounds: [launch] wakes the workers and returns at once —
-     worker [i] runs [f i] to completion (a service shard loop runs
-     until its shutdown sentinel) while the caller keeps its own role
-     (dispatching into the loops' queues).  [await] joins the round. *)
-
-  let launch t n f =
-    if t.stopped then invalid_arg "Pool.Persistent.launch: pool is shut down";
-    if t.busy then invalid_arg "Pool.Persistent.launch: a round is already live";
-    if n < 1 then invalid_arg "Pool.Persistent.launch: need at least one loop";
-    if n > t.pjobs - 1 then
-      invalid_arg
-        (Printf.sprintf
-           "Pool.Persistent.launch: %d loops but only %d resident domains" n
-           (t.pjobs - 1));
-    Mutex.lock t.lock;
-    t.task <- f;
-    t.total <- n;
-    t.chunk <- 1;
-    t.pinned <- true;
-    t.busy <- true;
-    Atomic.set t.failure None;
-    t.finished <- 0;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.start;
-    Mutex.unlock t.lock
-
-  let failed t = Option.is_some (Atomic.get t.failure)
-
-  let await t =
-    if t.busy then begin
-      Mutex.lock t.lock;
-      while t.finished < t.pjobs - 1 do
-        Condition.wait t.idle t.lock
-      done;
-      t.task <- ignore;
-      t.busy <- false;
       Mutex.unlock t.lock;
       match Atomic.get t.failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt

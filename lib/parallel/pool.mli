@@ -86,31 +86,7 @@ module Persistent : sig
       @raise Invalid_argument on a negative [n], a non-positive
       [chunk], or a pool that was {!shutdown}. *)
 
-  val launch : t -> int -> (int -> unit) -> unit
-  (** [launch t n f] starts a {e resident} round and returns
-      immediately: worker domain [i] (for [i < n]) runs [f i] once, to
-      completion, while the caller keeps executing — the barrier-free
-      service uses this to keep [n] run-to-completion shard loops
-      draining their op rings while the caller dispatches into them.
-      Unlike {!run} the caller does not participate and there is no
-      work-stealing cursor: loop [i] is pinned to worker [i].  The
-      round ends only when every [f i] returns (loops must watch their
-      own shutdown sentinel); end it with {!await}.
-      @raise Invalid_argument when the pool is shut down, a launched
-      round is already live, [n < 1], or [n > jobs - 1] (the caller is
-      not a worker here, so a 1-domain pool cannot launch). *)
-
-  val failed : t -> bool
-  (** Whether any loop of the live launched round has raised — a
-      dispatcher polls this so it can stop feeding queues nobody will
-      ever drain.  The exception itself is re-raised by {!await}. *)
-
-  val await : t -> unit
-  (** Join the launched round: blocks until every loop has returned,
-      then re-raises the first loop failure, if any.  No-op when no
-      round is live. *)
-
   val shutdown : t -> unit
   (** Joins the worker domains.  Idempotent; the pool is unusable
-      afterwards.  A launched round must be {!await}ed first. *)
+      afterwards. *)
 end

@@ -39,26 +39,20 @@ type totals = {
   stats_ops : int;
 }
 
-(* Ring-occupancy and steal counters.  Occupancy fields are written by
-   the single producer (the dispatcher samples depth after each push);
-   steal counters are touched by whichever loop is acting as a thief
-   at that moment, hence atomic.  All of them are wall-clock-shaped
-   observability — like latency they are deliberately excluded from
-   [totals_line] and the determinism fingerprint. *)
+(* Queue-depth counters, written only by the dispatcher (it samples
+   depth after each admission).  Observability, not service results —
+   like latency they are excluded from [totals_line] and the
+   determinism fingerprint. *)
 type ring_counters = {
   mutable max_depth : int;
   mutable depth_sum : int;
   mutable depth_samples : int;
-  steal_attempts : int Atomic.t;
-  stolen : int Atomic.t;
 }
 
 type ring_totals = {
   max_depth : int;
   mean_depth : float;
   depth_samples : int;
-  steal_attempts : int;
-  stolen : int;
 }
 
 (* Growable latency sample buffer — one per shard, appended to only by
@@ -97,14 +91,7 @@ let fresh_counters () =
     faults = 0;
   }
 
-let fresh_ring () =
-  {
-    max_depth = 0;
-    depth_sum = 0;
-    depth_samples = 0;
-    steal_attempts = Atomic.make 0;
-    stolen = Atomic.make 0;
-  }
+let fresh_ring () = { max_depth = 0; depth_sum = 0; depth_samples = 0 }
 
 let create ~shards =
   if shards < 1 then invalid_arg "Metrics.create: need at least one shard";
@@ -126,12 +113,6 @@ let record_depth t ~shard depth =
   if depth > r.max_depth then r.max_depth <- depth;
   r.depth_sum <- r.depth_sum + depth;
   r.depth_samples <- r.depth_samples + 1
-
-let note_steal_attempt t ~shard =
-  Atomic.incr t.rings.(shard).steal_attempts
-
-let note_stolen t ~shard n =
-  ignore (Atomic.fetch_and_add t.rings.(shard).stolen n)
 
 let push_sample b dt =
   if b.len = Array.length b.data then begin
@@ -201,8 +182,6 @@ let ring_totals_of (r : ring_counters) =
       (if r.depth_samples = 0 then 0.0
        else float_of_int r.depth_sum /. float_of_int r.depth_samples);
     depth_samples = r.depth_samples;
-    steal_attempts = Atomic.get r.steal_attempts;
-    stolen = Atomic.get r.stolen;
   }
 
 let per_shard_rings t = Array.map ring_totals_of t.rings
@@ -210,16 +189,12 @@ let per_shard_rings t = Array.map ring_totals_of t.rings
 let rings_total t =
   let max_depth = ref 0
   and depth_sum = ref 0
-  and depth_samples = ref 0
-  and steal_attempts = ref 0
-  and stolen = ref 0 in
+  and depth_samples = ref 0 in
   Array.iter
     (fun (r : ring_counters) ->
       if r.max_depth > !max_depth then max_depth := r.max_depth;
       depth_sum := !depth_sum + r.depth_sum;
-      depth_samples := !depth_samples + r.depth_samples;
-      steal_attempts := !steal_attempts + Atomic.get r.steal_attempts;
-      stolen := !stolen + Atomic.get r.stolen)
+      depth_samples := !depth_samples + r.depth_samples)
     t.rings;
   {
     max_depth = !max_depth;
@@ -227,8 +202,6 @@ let rings_total t =
       (if !depth_samples = 0 then 0.0
        else float_of_int !depth_sum /. float_of_int !depth_samples);
     depth_samples = !depth_samples;
-    steal_attempts = !steal_attempts;
-    stolen = !stolen;
   }
 
 type snapshot = {
@@ -276,5 +249,5 @@ let totals_line c =
 
 let ring_line r =
   Printf.sprintf
-    "max_depth=%d mean_depth=%.1f depth_samples=%d steal_attempts=%d stolen=%d"
-    r.max_depth r.mean_depth r.depth_samples r.steal_attempts r.stolen
+    "max_depth=%d mean_depth=%.1f depth_samples=%d" r.max_depth r.mean_depth
+    r.depth_samples

@@ -1,17 +1,16 @@
 (** The service's metrics registry.
 
-    Counters are split per shard so that shard loops update them
-    without contention (a shard's ops are serialized — only the domain
-    holding the shard's ownership token touches its counter record,
-    and token handoffs are acquire/release edges), and so that totals
-    are aggregated in fixed shard order — deterministic regardless of
-    the domain count.
+    Counters are split per shard so that round workers update them
+    without contention (a shard's ops are serialized — within a round
+    only the one worker draining the shard touches its counter record,
+    and the round barrier orders rounds), and so that totals are
+    aggregated in fixed shard order — deterministic regardless of the
+    domain count.
 
-    Two families are deliberately {e non}-deterministic and therefore
-    excluded from {!totals_line} (which determinism fingerprints
-    hash): latency samples, and the ring-occupancy / steal counters of
-    {!ring_counters} — queue depth under free-running dispatch is a
-    wall-clock fact, not a function of the op stream. *)
+    Two families are excluded from {!totals_line} (which determinism
+    fingerprints hash): latency samples, which are wall-clock facts,
+    and the queue-depth samples of {!ring_counters}, which are
+    observability rather than service results. *)
 
 type counters = {
   mutable served : int;  (** Ops executed (rejected ops excluded). *)
@@ -62,17 +61,12 @@ type totals = {
   stats_ops : int;
 }
 
-(** Per-shard op-ring observability.  Occupancy fields are sampled by
-    the single dispatcher after each push (and per admission on the
-    windowed path, where "ring" means the window queue); steal
-    counters are atomics because any idle loop may act as the thief. *)
+(** Per-shard queue observability, sampled by the dispatcher after
+    each admission into the shard's window queue. *)
 type ring_counters = {
   mutable max_depth : int;  (** High-water occupancy. *)
   mutable depth_sum : int;
   mutable depth_samples : int;
-  steal_attempts : int Atomic.t;
-      (** Token claims tried by non-owner loops (successful or not). *)
-  stolen : int Atomic.t;  (** Ops drained from this ring by thieves. *)
 }
 
 (** Immutable aggregate of {!ring_counters}. *)
@@ -80,8 +74,6 @@ type ring_totals = {
   max_depth : int;
   mean_depth : float;  (** [depth_sum / depth_samples] ([0.] if none). *)
   depth_samples : int;
-  steal_attempts : int;
-  stolen : int;
 }
 
 type t
@@ -93,19 +85,13 @@ val shard : t -> int -> counters
 (** The mutable counter record of one shard. *)
 
 val ring : t -> int -> ring_counters
-(** The mutable ring-observability record of one shard. *)
+(** The mutable queue-observability record of one shard. *)
 
 val bump_stats : t -> unit
 (** Count one served [Stats] snapshot. *)
 
 val record_depth : t -> shard:int -> int -> unit
-(** Sample one post-push ring occupancy (dispatcher side). *)
-
-val note_steal_attempt : t -> shard:int -> unit
-(** One thief token claim against the shard (whether or not it won). *)
-
-val note_stolen : t -> shard:int -> int -> unit
-(** [n] ops drained from the shard's ring by a thief. *)
+(** Sample one post-admission queue depth (dispatcher side). *)
 
 val record_latency : t -> shard:int -> float -> unit
 (** Append one admission-to-completion latency sample (seconds). *)
@@ -122,8 +108,7 @@ val per_shard : t -> totals array
 
 val per_shard_rings : t -> ring_totals array
 val rings_total : t -> ring_totals
-(** Aggregate ring observability: max of maxes, global mean, summed
-    steal counters. *)
+(** Aggregate queue observability: max of maxes, global mean. *)
 
 type snapshot = {
   snapshot_totals : totals;
@@ -141,9 +126,9 @@ val snapshot : t -> snapshot
 
 val totals_line : totals -> string
 (** Canonical one-line rendering of every deterministic counter — the
-    unit determinism fingerprints are built from.  Latency and ring
+    unit determinism fingerprints are built from.  Latency and queue
     observability never appear here. *)
 
 val ring_line : ring_totals -> string
-(** One-line rendering of the (non-deterministic) ring counters, for
-    reports only — never part of a fingerprint. *)
+(** One-line rendering of the queue-depth counters, for reports only —
+    never part of a fingerprint. *)

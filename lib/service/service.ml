@@ -1,5 +1,4 @@
 module Pool = Lr_parallel.Pool
-module Spsc = Lr_parallel.Spsc
 
 type config = {
   jobs : int;
@@ -8,9 +7,6 @@ type config = {
   rule : Lr_routing.Maintenance.rule;
   validate : bool;
   engine : Shard.engine_kind;
-  deterministic : bool;
-  steal_batch : int;
-  pin_loops : bool;
   packet_queue : int;
 }
 
@@ -22,9 +18,6 @@ let default_config =
     rule = Lr_routing.Maintenance.Partial_reversal;
     validate = true;
     engine = Shard.Fast;
-    deterministic = false;
-    steal_batch = 64;
-    pin_loops = false;
     packet_queue = 64;
   }
 
@@ -33,11 +26,6 @@ type t = {
   shards : Shard.t array;
   metrics : Metrics.t;
   pool : Pool.Persistent.t;
-  effective_jobs : int;
-      (* [cfg.jobs] clamped to the host's domain count unless
-         [pin_loops]: every resident domain beyond the hardware joins
-         each minor-GC stop-the-world barrier just to be woken and
-         parked again, so overprovisioned domains are pure tax. *)
 }
 
 let record_initial_trace ~dir ~rule shard config =
@@ -57,14 +45,13 @@ let create ?trace_dir cfg configs =
   if cfg.queue_bound < 1 then
     invalid_arg "Service.create: queue_bound must be >= 1";
   if cfg.window < 1 then invalid_arg "Service.create: window must be >= 1";
-  if cfg.steal_batch < 1 then
-    invalid_arg "Service.create: steal_batch must be >= 1";
   if cfg.packet_queue < 1 then
     invalid_arg "Service.create: packet_queue must be >= 1";
-  let effective_jobs =
-    if cfg.pin_loops then cfg.jobs
-    else min cfg.jobs (max 1 (Pool.recommended_jobs ()))
-  in
+  (* [cfg.jobs] is clamped to the host's domain count: every pool
+     domain beyond the hardware joins each minor-GC stop-the-world
+     barrier just to be woken and parked again, so overprovisioned
+     domains are pure tax.  Results never depend on the domain count. *)
+  let jobs = min cfg.jobs (max 1 (Pool.recommended_jobs ())) in
   (match trace_dir with
   | None -> ()
   | Some dir ->
@@ -81,8 +68,7 @@ let create ?trace_dir cfg configs =
             ~rule:cfg.rule ~id config)
         configs;
     metrics = Metrics.create ~shards:(Array.length configs);
-    pool = Pool.Persistent.create ~jobs:effective_jobs;
-    effective_jobs;
+    pool = Pool.Persistent.create ~jobs;
   }
 
 let num_shards t = Array.length t.shards
@@ -90,14 +76,13 @@ let shard t i = t.shards.(i)
 let config t = t.cfg
 let metrics t = Metrics.snapshot t.metrics
 
-(* One op, on the domain currently owning shard [s] (the round worker
-   on the windowed path, the token holder on the free-running path).
-   Identical on both paths, so counters — and hence the fingerprint —
-   depend only on *which* ops execute, never on the dispatch mode. *)
-(* lr:owner shard token holder: ops for one shard are serialized by the
-   per-shard ownership token (windowed round or SPSC pop under
-   [try_drain]), so the shard, its metrics counter and everything the
-   apply path touches have exactly one writer at a time. *)
+(* One op, on the round worker that drains shard [s] this round.
+   Counters — and hence the fingerprint — depend only on *which* ops
+   execute, never on which domain runs them. *)
+(* lr:owner round worker: a pool round hands each busy shard to exactly
+   one worker ([Pool.Persistent.run] claims indices disjointly), so the
+   shard, its metrics counter and everything the apply path touches
+   have one writer per round, and the round barrier orders rounds. *)
 let serve_op t ops responses admit_time s idx =
   let op = ops.(idx) in
   (* Chaos ops are timed around the shard call itself: the heal runs
@@ -152,15 +137,11 @@ let shard_of_op t i op =
       (Printf.sprintf "Service.run: op %d names shard %d of %d" i s shards);
   s
 
-(* {1 The deterministic windowed path}
-
-   The pre-rearchitecture dispatcher, kept verbatim as the
-   differential oracle: ops are admitted in windows, each window is
-   drained as one pool round with a global barrier between rounds.
-   Which ops are admitted, every response and every counter depend
-   only on the op stream — never on domains or scheduling. *)
-
-let run_windowed t ops =
+(* Ops are admitted in windows; each window is drained as one pool
+   round with a global barrier between rounds.  Which ops are admitted,
+   every response and every counter depend only on the op stream —
+   never on domains or scheduling. *)
+let run t ops =
   let n = Array.length ops in
   let shards = Array.length t.shards in
   let responses = Array.make n Op.Noop in
@@ -171,8 +152,9 @@ let run_windowed t ops =
   let queues = Array.make shards [] in
   let depth = Array.make shards 0 in
   let busy = Array.make shards 0 in
-  (* lr:owner dispatcher: the windowed run is single-domain, so queues
-     and depth have one writer — the round loop itself. *)
+  (* lr:owner round worker: [queues.(s)] and [depth.(s)] are written by
+     the dispatcher between rounds and, within a round, only by the one
+     worker draining shard [s]. *)
   let drain s =
     List.iter
       (fun idx -> serve_op t ops responses admit_time s idx)
@@ -228,310 +210,6 @@ let run_windowed t ops =
       Pool.Persistent.run t.pool !busy_count (fun k -> drain busy.(k))
   done;
   responses
-
-(* {1 The free-running path}
-
-   No window, no cross-shard barrier.  The dispatcher pushes each op's
-   index into its destination shard's bounded SPSC ring; [jobs - 1]
-   resident loops (launched once, run-to-completion) drain the rings
-   until the shutdown sentinel.  Per-shard serialization is preserved
-   by ownership tokens: only the loop that wins a shard's token CAS
-   may pop its ring and touch its engine, and token handoffs are
-   acquire/release edges, so consumption can migrate (work stealing)
-   without ever interleaving a shard's ops.  Backpressure is per-ring
-   occupancy: a full ring answers [Rejected `Overloaded] on the spot.
-   A [Stats] op quiesces (admitted = completed on every shard, with
-   the dispatcher moonlighting as a thief while it waits), so
-   snapshots still count exactly the ops admitted before them. *)
-
-exception Loop_died
-
-let run_free t ops =
-  let n = Array.length ops in
-  let shards = Array.length t.shards in
-  let nloops = t.effective_jobs - 1 in
-  let responses = Array.make n Op.Noop in
-  let admit_time = Array.make n 0.0 in
-  let rings =
-    Array.init shards (fun _ -> Spsc.create ~capacity:t.cfg.queue_bound (-1))
-  in
-  let tokens = Array.init shards (fun _ -> Atomic.make false) in
-  let completed = Array.init shards (fun _ -> Atomic.make 0) in
-  let admitted = Array.make shards 0 in
-  (* Token-protected serialization witness: op indices popped from a
-     ring must be strictly increasing per shard. *)
-  let last_served = Array.make shards (-1) in
-  let stop = Atomic.make false in
-  let abort = Atomic.make false in
-  (* Pop-and-apply under an already-held token.  [completed] is bumped
-     once per drain, not per op: quiesce only ever waits for the count
-     to catch up, so coarser publication just stretches the wait by at
-     most one batch — and saves a full fence per op on the hot path. *)
-  (* lr:owner shard token holder: only the domain holding [tokens.(s)]
-     runs this, so [last_served] and the serve path are single-writer;
-     [completed] is the one cross-domain hand-off and is Atomic. *)
-  let drain_locked s limit =
-    let count = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !count < limit do
-      match Spsc.try_pop rings.(s) with
-      | None -> continue_ := false
-      | Some idx ->
-          if idx <= last_served.(s) then
-            failwith "Service.run: per-shard serialization broken";
-          last_served.(s) <- idx;
-          serve_op t ops responses admit_time s idx;
-          incr count
-    done;
-    if !count > 0 then ignore (Atomic.fetch_and_add completed.(s) !count);
-    !count
-  in
-  let try_drain ~owner s limit =
-    if Spsc.is_empty rings.(s) then 0
-    else begin
-      if not owner then Metrics.note_steal_attempt t.metrics ~shard:s;
-      if not (Atomic.compare_and_set tokens.(s) false true) then 0
-      else begin
-        let k =
-          match drain_locked s limit with
-          | k ->
-              Atomic.set tokens.(s) false;
-              k
-          | exception e ->
-              Atomic.set tokens.(s) false;
-              raise e
-        in
-        if (not owner) && k > 0 then Metrics.note_stolen t.metrics ~shard:s k;
-        k
-      end
-    end
-  in
-  let all_rings_empty () =
-    let empty = ref true in
-    for s = 0 to shards - 1 do
-      if not (Spsc.is_empty rings.(s)) then empty := false
-    done;
-    !empty
-  in
-  (* One steal sweep over shards this loop does not own ([w = -1] is
-     the dispatcher: a pure thief that owns nothing, so it drains
-     whole rings per claim — when it steals it is quiescing or ending
-     the stream, and total drain speed beats claim fairness). *)
-  let steal_pass w =
-    let progressed = ref false in
-    let limit = if w < 0 then max_int else t.cfg.steal_batch in
-    for s = 0 to shards - 1 do
-      if w < 0 || s mod nloops <> w then
-        if try_drain ~owner:false s limit > 0 then progressed := true
-    done;
-    !progressed
-  in
-  (* On a single hardware thread a busy-wait starves the very loop it
-     is waiting for; after a burst of polite spins, yield the core for
-     real, backing off exponentially (50us doubling to ~1.6ms).  Long
-     sleeps matter when the host has fewer cores than loops: a
-     descheduled-but-runnable domain stalls every minor GC, so
-     persistently idle loops must get off the scheduler, not poll it.
-     On multicore the sleep branch is almost never reached.
-
-     All long sleeps go through [select] on the wake pipe rather than
-     [sleepf]: when the stream ends, the dispatcher writes one byte
-     and every sleeper returns instantly, so joining the loops never
-     waits out someone's nap. *)
-  let wake_r, wake_w =
-    if nloops > 0 then
-      let r, w = Unix.pipe ~cloexec:true () in
-      (Some r, Some w)
-    else (None, None)
-  in
-  (* lr:owner resident loop: the select/sleep here is the deliberate
-     interruptible idle backoff — [wake_sleepers] writes the pipe to cut
-     every nap short, so this never blocks shutdown. *)
-  let interruptible_sleep seconds =
-    match wake_r with
-    | None -> Unix.sleepf seconds
-    | Some r -> (
-        try ignore (Unix.select [ r ] [] [] seconds)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-  in
-  let wake_sleepers () =
-    match wake_w with
-    | None -> ()
-    | Some w -> (
-        try ignore (Unix.write w (Bytes.make 1 '!') 0 1)
-        with Unix.Unix_error _ -> ())
-  in
-  let pause idle =
-    if idle < 32 then Domain.cpu_relax ()
-    else
-      let k = min 5 ((idle - 32) / 4) in
-      interruptible_sleep (50e-6 *. float_of_int (1 lsl k))
-  in
-  (* Hardware-clamped active set: running more always-hot loops than
-     the host has cores makes every one of them a descheduled-but-
-     runnable domain that stalls minor GCs and steals dispatcher
-     quanta, so only the first [available - 1] loops run hot.  The
-     surplus are {e standby}: parked in millisecond sleeps (off the
-     scheduler, runtime lock released), assisting only when some ring
-     grows past half its capacity — exactly the overload moment when
-     an extra consumer pays for its scheduling cost. *)
-  let active_loops =
-    min nloops (max 0 (Pool.recommended_jobs () - 1))
-  in
-  let assist_depth =
-    max 1 (Spsc.capacity rings.(0) / 2)
-  in
-  let rings_deep () =
-    let deep = ref false in
-    for s = 0 to shards - 1 do
-      if Spsc.length rings.(s) >= assist_depth then deep := true
-    done;
-    !deep
-  in
-  (* One full work sweep: drain owned shards, then steal. *)
-  let sweep w =
-    let progressed = ref false in
-    if w >= 0 then begin
-      let s = ref w in
-      while !s < shards do
-        if try_drain ~owner:true !s max_int > 0 then progressed := true;
-        s := !s + nloops
-      done
-    end;
-    if !progressed then true else steal_pass w
-  in
-  let loop w =
-    let standby = w >= 0 && w >= active_loops in
-    let running = ref true in
-    let idle = ref 0 in
-    while !running do
-      let engaged =
-        (not standby) || rings_deep () || Atomic.get stop
-        (* a standby engages under overload — and at shutdown, when one
-           more consumer shortens the final drain instead of napping
-           through it *)
-      in
-      let progressed = engaged && sweep w in
-      if progressed then idle := 0
-      else if Atomic.get abort then running := false
-      else if Atomic.get stop && all_rings_empty () then
-        (* the shutdown sentinel: the stream has ended and every ring
-           is drained (in-flight ops finish in their holders' hands) *)
-        running := false
-      else if standby then interruptible_sleep 2e-3
-      else begin
-        incr idle;
-        pause !idle
-      end
-    done
-  in
-  if nloops > 0 then
-    Pool.Persistent.launch t.pool nloops (fun w ->
-        try loop w
-        with e ->
-          Atomic.set abort true;
-          Atomic.set stop true;
-          raise e);
-  let check_loops () =
-    if nloops > 0 && Pool.Persistent.failed t.pool then raise Loop_died
-  in
-  let quiesced () =
-    let ok = ref true in
-    for s = 0 to shards - 1 do
-      if Atomic.get completed.(s) < admitted.(s) then ok := false
-    done;
-    !ok
-  in
-  let drain_all_inline () =
-    for s = 0 to shards - 1 do
-      ignore (try_drain ~owner:true s max_int)
-    done
-  in
-  let quiesce () =
-    if nloops = 0 then drain_all_inline ()
-    else begin
-      let idle = ref 0 in
-      while not (quiesced ()) do
-        check_loops ();
-        if steal_pass (-1) then idle := 0
-        else begin
-          incr idle;
-          pause !idle
-        end
-      done
-    end
-  in
-  (* lr:owner dispatcher: admission state ([admitted], [admit_time],
-     rejection metrics) is written only by the single dispatcher domain;
-     the rings are the sole producer/consumer hand-off. *)
-  let dispatch () =
-    for i = 0 to n - 1 do
-      (match ops.(i) with
-      | Op.Stats ->
-          quiesce ();
-          Metrics.bump_stats t.metrics;
-          responses.(i) <- Op.Snapshot (Metrics.totals t.metrics)
-      | op ->
-          let s = shard_of_op t i op in
-          admit_time.(i) <- Unix.gettimeofday ();
-          if Spsc.try_push rings.(s) i then begin
-            admitted.(s) <- admitted.(s) + 1;
-            Metrics.record_depth t.metrics ~shard:s (Spsc.length rings.(s))
-          end
-          else if nloops = 0 then begin
-            (* Single-domain run-to-completion: the dispatcher is also
-               the only consumer, so a full ring is served inline
-               rather than rejected — overload means nothing when the
-               producer and the consumer share one domain. *)
-            ignore (try_drain ~owner:true s max_int);
-            if not (Spsc.try_push rings.(s) i) then assert false;
-            admitted.(s) <- admitted.(s) + 1;
-            Metrics.record_depth t.metrics ~shard:s (Spsc.length rings.(s))
-          end
-          else begin
-            (* Per-ring occupancy backpressure: the queue is the
-               overload signal, and a full ring sheds on the spot. *)
-            let c = Metrics.shard t.metrics s in
-            c.Metrics.rejected <- c.Metrics.rejected + 1;
-            responses.(i) <- Op.Rejected `Overloaded
-          end);
-      if i land 0xfff = 0 then check_loops ()
-    done
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Unix.close wake_r;
-      Option.iter Unix.close wake_w)
-    (fun () ->
-      (try dispatch ()
-       with e ->
-         Atomic.set abort true;
-         Atomic.set stop true;
-         wake_sleepers ();
-         (* [await] re-raises the loop's own exception when one died —
-            the root cause beats the dispatcher's [Loop_died] probe. *)
-         Pool.Persistent.await t.pool;
-         (match e with
-         | Loop_died -> failwith "Service.run: a shard loop died"
-         | e -> raise e));
-      Atomic.set stop true;
-      wake_sleepers ();
-      if nloops = 0 then drain_all_inline ()
-      else begin
-        (* End of stream: the dispatcher joins the draining as a thief
-           until every ring is empty, then collects the loops. *)
-        (try loop (-1)
-         with e ->
-           Atomic.set abort true;
-           Pool.Persistent.await t.pool;
-           raise e);
-        Pool.Persistent.await t.pool
-      end;
-      if not (quiesced ()) then failwith "Service.run: ops lost in flight";
-      responses)
-
-let run t ops =
-  if t.cfg.deterministic then run_windowed t ops else run_free t ops
 
 let fingerprint responses snapshot =
   let b = Buffer.create 4096 in

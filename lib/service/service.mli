@@ -2,91 +2,54 @@
 
     {2 Execution model}
 
-    The default dispatch is {b free-running}: each destination shard
-    owns a bounded lock-free SPSC op ring ({!Lr_parallel.Spsc}).  The
-    dispatcher pushes op indices into the rings while [jobs - 1]
-    resident run-to-completion loops (launched once on the persistent
-    pool, alive until the shutdown sentinel) drain them — there is no
-    window and no cross-shard barrier anywhere.  Backpressure is
-    per-ring occupancy: an op arriving at a full ring is answered
-    [Rejected `Overloaded] on the spot, so queue depth — not a window
-    budget — is the overload signal.
+    Dispatch is {b windowed}.  The dispatcher consumes the op stream in
+    windows of at most [window] ops, appending each op's index to its
+    destination shard's queue.  Each window is then drained as one
+    round on a persistent domain pool ({!Lr_parallel.Pool.Persistent}):
+    every busy shard goes to exactly one worker, distinct shards run
+    concurrently, and a barrier ends the round before the next window
+    is admitted.  Per-shard serialization is therefore structural —
+    a shard's ops run in admission order on one domain per round.
 
-    {b Per-shard serialization} survives the loss of the barrier via
-    ownership tokens: a loop may pop a shard's ring and touch its
-    engine only while holding the shard's token (an [Atomic] CAS), and
-    token handoffs are acquire/release edges.  That is also what makes
-    {b work stealing} safe for Zipf-skewed workloads: an idle loop
-    claims a busy shard's token and drains a batch ([steal_batch]) on
-    the owner's behalf — consumption migrates, interleaving never
-    happens.  Each loop's pops are checked against a per-shard
-    sequence (op indices must strictly increase), so a serialization
-    break is an immediate failure, not a silent corruption.
+    {b Backpressure} is per-shard queue depth within a window: an op
+    arriving at a queue already holding [queue_bound] ops is answered
+    [Rejected `Overloaded] on the spot.  A rejection still spends
+    window budget, so an overloaded round ends and drains instead of
+    shedding the rest of the stream.
 
-    A [Stats] op quiesces the service (every admitted op completed,
-    the dispatcher moonlighting as a thief while it waits) before
-    snapshotting, so snapshots count exactly the ops admitted before
-    them.  With [jobs = 1] the dispatcher is also the only consumer:
-    it serves a full ring inline instead of rejecting (overload means
-    nothing when producer and consumer share one domain).
+    A [Stats] op closes the window it would join, so it is always
+    answered at a window head, when every admitted op has completed:
+    snapshots count exactly the ops admitted before them.
 
     {2 Determinism}
 
-    Free-running responses land in per-op slots and every shard's ops
-    execute in admission order, so on any stream where nothing is
-    rejected the responses, counters and {!fingerprint} are identical
-    to the deterministic path's — that equality is checked
-    differentially in the bench and CI.  {e Which} ops are rejected
-    under genuine overload, and the ring-occupancy/steal observability
-    in {!Metrics.ring_totals}, are wall-clock facts and the two
-    deliberately non-deterministic parts of the free-running mode.
-
-    Setting [deterministic = true] selects the pre-rearchitecture
-    {b windowed} dispatcher, kept verbatim as the differential oracle:
-    ops are admitted in windows of [window] ops, each window drained
-    as one barrier-synchronized pool round, rejections spend window
-    budget, and everything — including rejections — depends only on
-    the op stream. *)
+    Which ops are admitted, every response and every counter depend
+    only on the op stream and on [queue_bound] and [window] — never on
+    [jobs] or on scheduling.  Responses land in per-op slots, so
+    {!fingerprint} is byte-identical across [jobs] settings, overload
+    included.  Latencies and the queue-depth samples in
+    {!Metrics.ring_totals} are wall-clock or admission facts outside
+    the fingerprint. *)
 
 type config = {
   jobs : int;
-      (** Domains.  Free-running: one dispatcher plus [jobs - 1]
-          resident shard loops.  Windowed: the dispatcher participates
-          in rounds. *)
+      (** Domains draining each round; the dispatcher is one of them.
+          Clamped to the host's domain count at {!create}: every pool
+          domain beyond the hardware joins each minor-GC
+          stop-the-world barrier just to be woken and parked again.
+          Results never depend on it. *)
   queue_bound : int;
-      (** Per-shard ring capacity (rounded up to a power of two by the
-          ring; the rounded value is the effective bound).  On the
-          windowed path, the per-shard queue capacity within a
-          window. *)
+      (** Per-shard queue capacity within one window; an op beyond it
+          is rejected. *)
   window : int;
-      (** Ops consumed from the stream per round — deterministic
-          (windowed) mode only. *)
+      (** Ops consumed from the stream per round, rejections
+          included. *)
   rule : Lr_routing.Maintenance.rule;
   validate : bool;  (** In-service route validation (default on). *)
   engine : Shard.engine_kind;
       (** Maintenance tier for every shard ({!Shard.engine_kind}).
           Responses, counters and the fingerprint are byte-identical
           across the two. *)
-  deterministic : bool;
-      (** [true] selects the windowed barrier dispatcher (the
-          differential oracle); [false] — the default — the
-          barrier-free rings. *)
-  steal_batch : int;
-      (** Max ops a thief drains per stolen token claim.  Small enough
-          to return the shard to its owner promptly, large enough to
-          amortize the claim. *)
-  pin_loops : bool;
-      (** By default ([false]) the service spawns at most
-          [available domains - 1] resident loops no matter how large
-          [jobs] is: in OCaml 5 {e every} live domain — even one
-          parked in a blocking section — is woken into each minor-GC
-          stop-the-world barrier, so domains beyond the hardware are
-          pure tax (measured 15–25% on one core).  Requested [jobs]
-          beyond the clamp run as if the hardware were the limit;
-          responses and counters are unaffected (jobs never change
-          results).  [true] pins exactly [jobs - 1] loops regardless,
-          so tests and benches can exercise the token/steal protocol
-          on any host. *)
   packet_queue : int;
       (** Per-node queue bound on each shard's packet-forwarding plane
           ({!Shard.create}). *)
@@ -94,9 +57,7 @@ type config = {
 
 val default_config : config
 (** [jobs = 1], [queue_bound = 128], [window = 256], Partial Reversal,
-    validation on, the fast engine, free-running dispatch,
-    [steal_batch = 64], loops clamped to the hardware,
-    [packet_queue = 64]. *)
+    validation on, the fast engine, [packet_queue = 64]. *)
 
 type t
 
@@ -107,7 +68,7 @@ val create : ?trace_dir:string -> config -> Linkrev.Config.t array -> t
     ([shard-NNN.lrt], via {!Lr_trace.Record.fast} — auditable with
     [linkrev trace audit]).  @raise Invalid_argument on an empty
     instance array or a non-positive
-    [jobs]/[queue_bound]/[window]/[steal_batch]. *)
+    [jobs]/[queue_bound]/[window]/[packet_queue]. *)
 
 val num_shards : t -> int
 val shard : t -> int -> Shard.t
@@ -116,18 +77,16 @@ val config : t -> config
 val run : t -> Op.t array -> Op.response array
 (** Execute the stream; slot [i] answers op [i].  Ops must name shards
     in range ([Workload.load]/[generate] guarantee it).
-    @raise Invalid_argument on an out-of-range shard id.
-    @raise Failure if a shard loop breaks per-shard serialization or
-    loses an op in flight (both are engine bugs, checked live). *)
+    @raise Invalid_argument on an out-of-range shard id.  An exception
+    raised while serving an op propagates once its round has ended. *)
 
 val metrics : t -> Metrics.snapshot
 
 val fingerprint : Op.response array -> Metrics.snapshot -> string
 (** Hex digest over the canonical rendering of all responses plus all
-    deterministic counters (latency and ring observability excluded) —
-    byte-identical across [jobs] settings and across
-    free-running/deterministic dispatch whenever the rejection sets
-    agree (always, absent overload). *)
+    deterministic counters (latency and queue-depth observability
+    excluded) — byte-identical across [jobs] settings, overload
+    included. *)
 
 val rejected_in : Op.response array -> int
 (** Count of [Rejected] responses — must equal the metrics' rejected

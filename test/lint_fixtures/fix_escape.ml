@@ -6,11 +6,11 @@
 let boom () = failwith "escape hatch"
 let nap () = Unix.sleepf 0.001
 
-let spin pool =
-  Lr_parallel.Pool.Persistent.launch pool 1 (fun _w ->
+let spin () =
+  Domain.spawn (fun () ->
       nap ();
       boom ())
 
-let careful pool =
-  Lr_parallel.Pool.Persistent.launch pool 1 (fun _w ->
+let careful () =
+  Domain.spawn (fun () ->
       try boom () with Failure _ -> ())

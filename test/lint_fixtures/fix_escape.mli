@@ -2,5 +2,5 @@
 
 val boom : unit -> unit
 val nap : unit -> unit
-val spin : Lr_parallel.Pool.Persistent.t -> unit
-val careful : Lr_parallel.Pool.Persistent.t -> unit
+val spin : unit -> unit Domain.t
+val careful : unit -> unit Domain.t

@@ -174,87 +174,6 @@ let test_persistent_shutdown_idempotent () =
   check_bool "run after shutdown raises" true
     (try PP.run pool 5 ignore; false with Invalid_argument _ -> true)
 
-(* A resident round: loops run to completion on worker domains while
-   the caller keeps executing, coordinating only through atomics. *)
-let test_persistent_launch_runs_resident_loops () =
-  let pool = PP.create ~jobs:3 in
-  Fun.protect
-    ~finally:(fun () -> PP.shutdown pool)
-    (fun () ->
-      let work = Array.init 2 (fun _ -> Atomic.make 0) in
-      let stop = Atomic.make false in
-      PP.launch pool 2 (fun i ->
-          (* First increment is unconditional so the loop leaves a
-             trace even if the caller stops the round before the OS
-             schedules this domain (single-core hosts). *)
-          Atomic.incr work.(i);
-          while not (Atomic.get stop) do
-            Atomic.incr work.(i);
-            Domain.cpu_relax ()
-          done);
-      check_bool "caller is free while loops run" false (PP.failed pool);
-      (* Opportunistically let both loops make progress while we (the
-         caller) watch; the real assertions come after [await]. *)
-      let spun = ref 0 in
-      while
-        (Atomic.get work.(0) = 0 || Atomic.get work.(1) = 0)
-        && !spun < 100_000
-      do
-        incr spun;
-        Domain.cpu_relax ()
-      done;
-      Atomic.set stop true;
-      PP.await pool;
-      check_bool "loop 0 ran" true (Atomic.get work.(0) > 0);
-      check_bool "loop 1 ran" true (Atomic.get work.(1) > 0);
-      (* await with no live round is a no-op, and the pool is reusable
-         for ordinary rounds afterwards. *)
-      PP.await pool;
-      PP.run pool 4 ignore)
-
-let test_persistent_launch_failure_is_flagged_and_reraised () =
-  let pool = PP.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> PP.shutdown pool)
-    (fun () ->
-      PP.launch pool 1 (fun _ -> failwith "loop died");
-      (* [failed] turns true once the loop raises; [await] re-raises. *)
-      let spun = ref 0 in
-      while (not (PP.failed pool)) && !spun < 10_000_000 do
-        incr spun;
-        Domain.cpu_relax ()
-      done;
-      check_bool "failed pool flagged before await" true (PP.failed pool);
-      check_bool "await re-raises the loop failure" true
-        (try PP.await pool; false
-         with Failure m -> m = "loop died");
-      (* The round is over; the pool survives for normal use. *)
-      PP.run pool 3 ignore)
-
-let test_persistent_launch_rejects_bad_args () =
-  let pool = PP.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> PP.shutdown pool)
-    (fun () ->
-      let rejects label f =
-        check_bool label true (try f (); false with Invalid_argument _ -> true)
-      in
-      rejects "n = 0 rejected" (fun () -> PP.launch pool 0 ignore);
-      rejects "n > jobs - 1 rejected" (fun () -> PP.launch pool 2 ignore);
-      let one = PP.create ~jobs:1 in
-      Fun.protect
-        ~finally:(fun () -> PP.shutdown one)
-        (fun () ->
-          rejects "1-domain pool cannot launch" (fun () ->
-              PP.launch one 1 ignore));
-      (* No double launch while a round is live. *)
-      let stop = Atomic.make false in
-      PP.launch pool 1 (fun _ -> while not (Atomic.get stop) do Domain.cpu_relax () done);
-      rejects "second launch while live rejected" (fun () ->
-          PP.launch pool 1 ignore);
-      Atomic.set stop true;
-      PP.await pool)
-
 let () =
   Alcotest.run "pool"
     [
@@ -285,11 +204,5 @@ let () =
             test_persistent_propagates_exceptions;
           case "bad arguments rejected" test_persistent_rejects_bad_args;
           case "shutdown idempotent" test_persistent_shutdown_idempotent;
-          case "launch keeps resident loops running"
-            test_persistent_launch_runs_resident_loops;
-          case "launch failure flagged and re-raised"
-            test_persistent_launch_failure_is_flagged_and_reraised;
-          case "launch bad arguments rejected"
-            test_persistent_launch_rejects_bad_args;
         ];
     ]

@@ -14,28 +14,24 @@ let spec ?(shards = 6) ?(nodes = 12) ?(extra_edges = 8) ?(seed = 5)
 
 let churny = { W.route = 60; churn = 35; crash = 5 }
 
-(* Tests exist to exercise the multi-domain protocol, so they pin the
-   requested loop count instead of letting the service clamp it to the
-   (possibly single-domain) CI host. *)
+(* The service clamps [jobs] to the host's domains, so on a small host
+   the larger job counts below run the same pool; the results must not
+   depend on it either way. *)
 let with_service ?trace_dir ?(jobs = 1) ?(queue_bound = 128) ?(window = 256)
-    ?(deterministic = false) spec f =
-  let cfg =
-    { S.default_config with S.jobs; queue_bound; window; deterministic;
-      pin_loops = true }
-  in
+    spec f =
+  let cfg = { S.default_config with S.jobs; queue_bound; window } in
   let svc = S.create ?trace_dir cfg (W.shard_configs spec) in
   Fun.protect ~finally:(fun () -> S.shutdown svc) (fun () -> f svc)
 
-let run_spec ?(jobs = 1) ?(queue_bound = 128) ?(window = 256)
-    ?(deterministic = false) spec =
-  with_service ~jobs ~queue_bound ~window ~deterministic spec (fun svc ->
+let run_spec ?(jobs = 1) ?(queue_bound = 128) ?(window = 256) spec =
+  with_service ~jobs ~queue_bound ~window spec (fun svc ->
       let responses = S.run svc (W.generate spec) in
       (responses, S.metrics svc))
 
 (* The headline guarantee: responses, counters, and hence the
    fingerprint depend only on the op stream — never on the domain
-   count.  The bound is generous (nothing rejects), because *which*
-   ops a full ring sheds under free-running dispatch is wall-clock. *)
+   count.  The bound is generous here (nothing rejects); the overload
+   tests below cover rejections. *)
 let test_deterministic_across_jobs () =
   let s = spec ~mix:churny ~stats_every:71 () in
   let r1, m1 = run_spec ~jobs:1 ~queue_bound:1024 s in
@@ -49,24 +45,6 @@ let test_deterministic_across_jobs () =
         true
         (S.fingerprint r1 m1 = S.fingerprint rj mj))
     [ 2; 3; 8 ]
-
-(* The differential oracle: free-running ring dispatch must reproduce
-   the windowed path byte-for-byte whenever nothing is rejected. *)
-let test_free_matches_windowed_oracle () =
-  let s = spec ~mix:churny ~ops:800 ~stats_every:97 () in
-  let rw, mw = run_spec ~deterministic:true ~queue_bound:1024 s in
-  let fpw = S.fingerprint rw mw in
-  List.iter
-    (fun jobs ->
-      let rf, mf = run_spec ~jobs ~queue_bound:1024 s in
-      check_bool
-        (Printf.sprintf "free jobs=%d responses = windowed" jobs)
-        true (rf = rw);
-      check_bool
-        (Printf.sprintf "free jobs=%d fingerprint = windowed" jobs)
-        true
-        (S.fingerprint rf mf = fpw))
-    [ 1; 2; 4 ]
 
 let test_validation_clean_and_consistent () =
   let s = spec ~mix:churny ~ops:800 () in
@@ -100,63 +78,97 @@ let test_every_op_accounted () =
   check_int "per-shard served rolls up" t.Metrics.served
     (shard_served + t.Metrics.stats_ops)
 
+(* Every op is served or rejected, rejections match the counter, queue
+   depth respects the bound, and shards stay consistent. *)
+let check_overload_accounting ~jobs ~bound (s : W.spec) svc responses =
+  let m = S.metrics svc in
+  let t = m.Metrics.snapshot_totals in
+  check_int
+    (Printf.sprintf "served + rejected = ops at jobs=%d" jobs)
+    s.W.ops
+    (t.Metrics.served + t.Metrics.rejected);
+  check_int
+    (Printf.sprintf "no leaked rejections at jobs=%d" jobs)
+    t.Metrics.rejected (S.rejected_in responses);
+  check_bool
+    (Printf.sprintf "queue depth respects the bound at jobs=%d" jobs)
+    true
+    (m.Metrics.rings_totals.Metrics.max_depth <= bound);
+  for i = 0 to S.num_shards svc - 1 do
+    check_bool
+      (Printf.sprintf "shard %d consistent at jobs=%d" i jobs)
+      true
+      (Shard.consistent (S.shard svc i))
+  done
+
 let test_backpressure_rejects_deterministically () =
-  (* On the windowed oracle a hot shard (strong skew) against a tiny
-     queue bound must shed load — and which ops are shed must not
-     depend on jobs. *)
-  let s = spec ~shards:4 ~ops:900 ~skew:3.0 () in
-  let r1, m1 = run_spec ~deterministic:true ~queue_bound:2 ~window:128 ~jobs:1 s in
-  let t1 = m1.Metrics.snapshot_totals in
-  check_bool "overload sheds ops" true (t1.Metrics.rejected > 0);
-  check_int "metrics match responses" t1.Metrics.rejected (S.rejected_in r1);
-  check_bool "queue depth respects the bound" true
-    (m1.Metrics.rings_totals.Metrics.max_depth <= 2);
-  let r4, m4 = run_spec ~deterministic:true ~queue_bound:2 ~window:128 ~jobs:4 s in
-  check_bool "same rejections at jobs=4" true (r1 = r4);
-  check_bool "same fingerprint at jobs=4" true
-    (S.fingerprint r1 m1 = S.fingerprint r4 m4);
+  (* A hot shard (strong skew) against a tiny queue bound must shed
+     load — and which ops are shed must not depend on jobs. *)
+  let s = spec ~shards:4 ~ops:900 ~skew:3.0 ~stats_every:113 () in
+  let ops = W.generate s in
+  let runs =
+    List.map
+      (fun jobs ->
+        with_service ~jobs ~queue_bound:2 ~window:128 s (fun svc ->
+            let responses = S.run svc ops in
+            check_overload_accounting ~jobs ~bound:2 s svc responses;
+            (jobs, responses, S.fingerprint responses (S.metrics svc))))
+      [ 1; 2; 4 ]
+  in
+  let _, r1, fp1 = List.hd runs in
+  check_bool "overload sheds ops" true (S.rejected_in r1 > 0);
+  List.iter
+    (fun (jobs, rj, fpj) ->
+      check_bool (Printf.sprintf "same rejections at jobs=%d" jobs) true
+        (r1 = rj);
+      check_bool (Printf.sprintf "same fingerprint at jobs=%d" jobs) true
+        (fp1 = fpj))
+    runs;
   (* a generous bound sheds nothing *)
-  let _, mb = run_spec ~deterministic:true ~queue_bound:1024 ~window:128 s in
+  let _, mb = run_spec ~queue_bound:1024 ~window:128 s in
   check_int "no rejections with headroom" 0
     mb.Metrics.snapshot_totals.Metrics.rejected
 
+(* Overload accounting at the default window: a hot shard against a
+   tiny queue bound, with stats ops mixed in, at jobs 1, 2 and 4.  The
+   case keeps the name it had when a free-running dispatcher served
+   this configuration; the invariants are the same under the windowed
+   dispatcher. *)
 let test_free_running_overload_accounting () =
-  (* Free-running backpressure: *which* ops a full ring sheds is
-     wall-clock, but the accounting invariants are not — every op is
-     served or rejected, rejections match the counter, occupancy
-     respects the ring capacity, and shards stay consistent. *)
   let s = spec ~shards:4 ~ops:900 ~skew:3.0 ~stats_every:113 () in
   let ops = W.generate s in
   List.iter
     (fun jobs ->
       with_service ~jobs ~queue_bound:2 s (fun svc ->
           let responses = S.run svc ops in
-          let m = S.metrics svc in
-          let t = m.Metrics.snapshot_totals in
-          check_int
-            (Printf.sprintf "served + rejected = ops at jobs=%d" jobs)
-            s.W.ops
-            (t.Metrics.served + t.Metrics.rejected);
-          check_int
-            (Printf.sprintf "no leaked rejections at jobs=%d" jobs)
-            t.Metrics.rejected (S.rejected_in responses);
-          check_bool
-            (Printf.sprintf "ring occupancy bounded at jobs=%d" jobs)
-            true
-            (m.Metrics.rings_totals.Metrics.max_depth <= 2);
-          for i = 0 to S.num_shards svc - 1 do
-            check_bool
-              (Printf.sprintf "shard %d consistent at jobs=%d" i jobs)
-              true
-              (Shard.consistent (S.shard svc i))
-          done))
+          check_overload_accounting ~jobs ~bound:2 s svc responses))
     [ 1; 2; 4 ]
 
+(* The default configuration sheds overload at jobs=1 as well: a
+   single domain dispatches and serves, but the queue bound still
+   holds within each window, and the shed set is the same at jobs=2. *)
+let test_default_config_sheds_at_one_job () =
+  let s = spec ~shards:4 ~ops:900 ~skew:3.0 () in
+  let ops = W.generate s in
+  let shed jobs =
+    let cfg = { S.default_config with S.jobs; queue_bound = 2 } in
+    let svc = S.create cfg (W.shard_configs s) in
+    Fun.protect
+      ~finally:(fun () -> S.shutdown svc)
+      (fun () ->
+        let responses = S.run svc ops in
+        check_overload_accounting ~jobs ~bound:2 s svc responses;
+        List.filter
+          (fun i -> match responses.(i) with Op.Rejected _ -> true | _ -> false)
+          (List.init (Array.length responses) Fun.id))
+  in
+  let shed1 = shed 1 in
+  check_bool "jobs=1 sheds a non-empty set" true (shed1 <> []);
+  check_bool "jobs=2 sheds the same ops" true (shed1 = shed 2)
+
 let test_ring_metrics_sane () =
-  (* Ring observability is wall-clock-shaped, but its arithmetic is
-     not: depth samples count one post-push sample per admitted op,
-     the mean can never exceed the max, and stolen ops are bounded by
-     steal-attempted claims times the batch size. *)
+  (* Queue observability arithmetic: one post-admission depth sample
+     per admitted op, and the mean can never exceed the max. *)
   let s = spec ~mix:churny ~ops:800 ~stats_every:101 () in
   let _, m = run_spec ~jobs:3 ~queue_bound:1024 s in
   let r = m.Metrics.rings_totals in
@@ -166,21 +178,12 @@ let test_ring_metrics_sane () =
     r.Metrics.depth_samples;
   check_bool "mean depth <= max depth" true
     (r.Metrics.mean_depth <= float_of_int r.Metrics.max_depth);
-  check_bool "max depth positive" true (r.Metrics.max_depth > 0);
-  check_bool "stolen ops need steal attempts" true
-    (r.Metrics.stolen = 0 || r.Metrics.steal_attempts > 0);
-  (* the per-shard rings roll up to the aggregate *)
-  let sum_stolen =
-    Array.fold_left
-      (fun acc (pr : Metrics.ring_totals) -> acc + pr.Metrics.stolen)
-      0 m.Metrics.snapshot_rings
-  in
-  check_int "per-shard stolen rolls up" r.Metrics.stolen sum_stolen
+  check_bool "max depth positive" true (r.Metrics.max_depth > 0)
 
 let test_stats_barrier_counts () =
   let s = spec ~ops:400 ~stats_every:60 ~mix:churny () in
-  (* jobs=3 exercises the free-running quiesce: a snapshot may only be
-     taken once every admitted op has completed on its shard loop. *)
+  (* jobs=3 runs multi-domain rounds: a snapshot may only be taken once
+     every admitted op has completed on its round worker. *)
   let responses, _ = run_spec ~jobs:3 s in
   Array.iteri
     (fun i r ->
@@ -307,7 +310,7 @@ let test_create_rejects_bad_config () =
       { S.default_config with S.jobs = 0 };
       { S.default_config with S.queue_bound = 0 };
       { S.default_config with S.window = 0 };
-      { S.default_config with S.steal_batch = 0 };
+      { S.default_config with S.packet_queue = 0 };
     ];
   check_bool "empty shard array rejected" true
     (try ignore (S.create S.default_config [||]); false
@@ -342,7 +345,7 @@ let test_engines_agree () =
    seeded from each shard's current orientation (never engine
    heights), so the whole packet surface — responses, packet counters,
    the fingerprint — must stay byte-identical across engines, job
-   counts, and the free/windowed dispatchers. *)
+   counts and windows. *)
 let packet_spec ?(ops = 900) () =
   spec ~mix:{ W.route = 40; churn = 8; crash = 2 } ~pmix:W.default_pmix
     ~burst:5 ~ops ~stats_every:113 ()
@@ -364,9 +367,9 @@ let test_packet_ops_deterministic () =
       check_bool (Printf.sprintf "packet fingerprint jobs=%d" jobs) true
         (S.fingerprint r1 m1 = S.fingerprint rj mj))
     [ 2; 4 ];
-  let rw, mw = run_spec ~deterministic:true ~queue_bound:1024 s in
-  check_bool "packet responses free = windowed" true (r1 = rw);
-  check_bool "packet fingerprint free = windowed" true
+  let rw, mw = run_spec ~queue_bound:1024 ~window:64 s in
+  check_bool "packet responses window 64 = window 256" true (r1 = rw);
+  check_bool "packet fingerprint window 64 = window 256" true
     (S.fingerprint r1 m1 = S.fingerprint rw mw)
 
 (* Churn, corrupt heals and crashes on every shard before its first
@@ -504,8 +507,6 @@ let () =
       suite "service"
         [
           case "deterministic across job counts" test_deterministic_across_jobs;
-          case "free-running matches the windowed oracle"
-            test_free_matches_windowed_oracle;
           case "validation clean, shards consistent"
             test_validation_clean_and_consistent;
           case "every op accounted for" test_every_op_accounted;
@@ -513,6 +514,8 @@ let () =
             test_backpressure_rejects_deterministically;
           case "free-running overload accounting holds"
             test_free_running_overload_accounting;
+          case "default config sheds overload at jobs=1"
+            test_default_config_sheds_at_one_job;
           case "ring metrics arithmetic sane" test_ring_metrics_sane;
           case "stats barrier counts all prior ops" test_stats_barrier_counts;
           case "destination crashes fail over" test_crashes_fail_over;
